@@ -4,6 +4,9 @@ use npcgra::nn::Activation;
 use npcgra::sim::{BackendTier, MappingKind};
 use npcgra::{CgraSpec, ConvLayer};
 
+/// The flags [`Flags::layer`] reads, for a caller's `known` list.
+pub const LAYER_FLAGS: &str = "kind channels size stride relu leaky";
+
 /// Parsed `--flag value` pairs.
 pub struct Flags {
     pairs: Vec<(String, Option<String>)>,
@@ -11,8 +14,11 @@ pub struct Flags {
 
 impl Flags {
     /// Parse `--flag [value]` sequences; a flag followed by another flag (or
-    /// the end) is boolean.
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
+    /// the end) is boolean. `known` names every flag the caller reads,
+    /// space-separated: any other is an error here, before the caller does
+    /// any work, so a typo'd flag can never run with the default it meant
+    /// to override.
+    pub fn parse(args: &[String], known: &str) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -20,6 +26,9 @@ impl Flags {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("expected --flag, got '{a}'"));
             };
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag --{name} (this command reads: {known})"));
+            }
             let value = match args.get(i + 1) {
                 Some(v) if !v.starts_with("--") => {
                     i += 1;
@@ -46,6 +55,20 @@ impl Flags {
     /// A required flag's value.
     pub fn require(&self, name: &str) -> Result<&str, String> {
         self.get(name).ok_or_else(|| format!("missing --{name}"))
+    }
+
+    /// A flag's parsed value, if the flag is present.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.get(name) {
+            Some(v) => v.parse().map(Some).map_err(|_| format!("--{name}: bad value '{v}'")),
+            None if self.has(name) => Err(format!("--{name} expects a value")),
+            None => Ok(None),
+        }
+    }
+
+    /// A flag's parsed value, or `default` when it is absent.
+    pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.parsed(name)?.unwrap_or(default))
     }
 
     /// Parse `RxC` / `HxW` pairs.
@@ -86,11 +109,10 @@ impl Flags {
         }
     }
 
-    /// The execution tier from `--tier` (default: the cycle-accurate
-    /// golden tier, so untouched invocations behave exactly as before).
-    pub fn tier(&self) -> Result<BackendTier, String> {
+    /// The execution tier from `--tier`, or `default` when it is absent.
+    pub fn tier(&self, default: BackendTier) -> Result<BackendTier, String> {
         match self.get("tier") {
-            None => Ok(BackendTier::CycleAccurate),
+            None => Ok(default),
             Some(v) => v.parse().map_err(|e: String| format!("--tier: {e}")),
         }
     }
@@ -139,9 +161,15 @@ impl Flags {
 mod tests {
     use super::*;
 
-    fn flags(s: &str) -> Flags {
+    const KNOWN: &str = "kind channels size stride relu leaky machine mapping tier cycles";
+
+    fn try_flags(s: &str) -> Result<Flags, String> {
         let args: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Flags::parse(&args).unwrap()
+        Flags::parse(&args, KNOWN)
+    }
+
+    fn flags(s: &str) -> Flags {
+        try_flags(s).unwrap()
     }
 
     #[test]
@@ -155,8 +183,22 @@ mod tests {
 
     #[test]
     fn rejects_positional_arguments() {
-        let args = vec!["oops".to_string()];
-        assert!(Flags::parse(&args).is_err());
+        assert!(try_flags("oops").is_err());
+        let typo = try_flags("--kind dw --chanels 8")
+            .err()
+            .expect("an unread flag must not parse");
+        assert!(typo.contains("--chanels"), "the error names the flag: {typo}");
+    }
+
+    #[test]
+    fn parse_or_defaults_parses_and_refuses_a_missing_value() {
+        assert_eq!(flags("").parse_or("cycles", 64usize).unwrap(), 64);
+        assert_eq!(flags("--cycles 9").parse_or("cycles", 64usize).unwrap(), 9);
+        assert!(flags("--cycles nine").parse_or("cycles", 64usize).is_err());
+        assert!(
+            flags("--cycles --relu").parse_or("cycles", 64usize).is_err(),
+            "value forgotten"
+        );
     }
 
     #[test]
@@ -184,10 +226,20 @@ mod tests {
 
     #[test]
     fn tier_flag() {
-        assert_eq!(flags("").tier().unwrap(), BackendTier::CycleAccurate);
-        assert_eq!(flags("--tier fast").tier().unwrap(), BackendTier::Fast);
-        assert_eq!(flags("--tier cycle-accurate").tier().unwrap(), BackendTier::CycleAccurate);
-        assert!(flags("--tier warp").tier().is_err());
+        assert_eq!(
+            flags("").tier(BackendTier::Fast).unwrap(),
+            BackendTier::Fast,
+            "default applies"
+        );
+        assert_eq!(
+            flags("--tier fast").tier(BackendTier::CycleAccurate).unwrap(),
+            BackendTier::Fast
+        );
+        assert_eq!(
+            flags("--tier cycle-accurate").tier(BackendTier::Fast).unwrap(),
+            BackendTier::CycleAccurate
+        );
+        assert!(flags("--tier warp").tier(BackendTier::Fast).is_err());
     }
 
     #[test]

@@ -1,2476 +1,128 @@
-//! `chaos-bench` — fault-injection soak test for the inference server.
+//! `chaos-bench` — the soak gates of the serving stack. One harness
+//! ([`harness`]: calibrate → drive → audit, written once) and seven modes,
+//! each a row of [`MODES`]. Every mode exits nonzero unless every ticket
+//! it issued resolved (a stranded reply is counted as *hung* by a bounded
+//! wait, never waited on forever), every audited reply was bit-exact
+//! against the golden host reference, and no worker thread escaped
+//! supervision; its `--assert-*` flag then turns the mode's own claims
+//! into hard gates.
 //!
-//! Registers the MobileNet DSC layers like `serve-bench`, then runs
-//! closed-loop clients for a fixed wall-clock window while chaos is
-//! injected: a worker panic on its first batch (`--panic-worker`) and a
-//! deterministic Bernoulli hardware-fault plan (`--fault-seed` +
-//! `--fault-rate`) flipping bits in the simulated machines. The command
-//! *fails* unless the server survives: every ticket must resolve (no
-//! hangs — clients poll with [`Ticket::wait_timeout`]), no worker thread
-//! may end `panicked`, and an injected panic must show up as a supervised
-//! restart in the final statistics.
+//! | mode | target | what attacks it | `--assert-*` adds |
+//! |---|---|---|---|
+//! | *(none)* fault | `Server`, closed loop | a worker panic on its first batch, seeded bit flips in the simulated machines | `-detection`: every reply audited; ≥ 99 % of corrupted executions tripped an ABFT checksum, and detected corruption was healed by retry |
+//! | `--gray` | `Server`, closed loop | seeded wedges, stalls and slowdowns (no bit flips) | `-liveness`: cycle budget + batch watchdog preempted something and the shard recovered by restart; at `--gray-rate 0`, the armed watchdog never fired |
+//! | `--overload` | `Server`, open loop at `--overload-factor` × calibrated capacity | its own load: 30 % Interactive (deadline `--slo-ms`) / 40 % Batch / 30 % BestEffort | `-slo`: something was shed, ≥ 50 Interactive admitted, ≥ 99 % of them within the SLO |
+//! | `--pipeline` | `Pipeline` (MobileNetV1 chain in `--stages`), a zero-fault control phase then a faulted one | one stage kill, one stage wedge, one corrupted handoff | `-liveness`: control untouched by healing; kill and wedge each failed over to a spare; healing replayed only from the last checkpoint |
+//! | `--pipeline --overload` | `Pipeline`: armed-but-idle control, calibration, faulted warm-up, open-loop drive | a stage wedge (watchdog the only preemption path) and a stage kill, then 2× load | `-slo`: watchdog preempted the wedge, kill contained, both failed over, brownout escalated and shed, SLO gate as above |
+//! | `--net` | `Server` behind `NetServer`, driven through `NetClient`s after a wire-vs-in-process parity phase | slow-loris, malformed-frame and mid-flight-disconnect/chaos connections beside 2× load | `-slo`: ≥ 90 % of the connection target live at once, every attacker class caught, no connection leaked, SLO gate as above |
+//! | `--crash` | journaled `Server` behind `NetServer`, keyed drivers that reconnect and resume, after a journal-off control phase | three hard kills (the first on a stalled core) | `-durability`: recovery replayed something, reconnect resumed something, retries deduplicated, a finished key redelivered without re-executing |
 //!
-//! With `--assert-detection` the soak additionally audits the ABFT
-//! integrity layer: every successful reply is compared bit-exactly against
-//! the golden host reference, and the run fails unless ≥ 99 % of corrupted
-//! executions were *detected* (tripped an output checksum instead of
-//! replying silently wrong) and detected corruption was *healed* by retry
-//! (some request that failed a checksum later completed bit-exact).
-//! Shard canaries run every `--canary-every` batches in this mode.
-//!
-//! With `--gray` the command instead runs the gray-failure soak: the fault
-//! plan injects *temporal* faults — wedges (the machine stops advancing),
-//! stalls (a huge burst of dead cycles) and slowdowns (every op takes
-//! `--slowdown-factor`× longer) — at `--gray-rate`, while the liveness
-//! layer hunts them: the per-run cycle budget (`--cycle-budget`×
-//! predicted cycles) catches host-fast runaways deterministically, and the
-//! batch watchdog (`--watchdog-slack`× the calibrated wall estimate)
-//! cancels wall-clock wedges via cooperative [`CancelToken`] polling.
-//! Bernoulli bit flips stay off, so every delivered reply is audited
-//! bit-exact against the golden host reference. With `--assert-liveness`
-//! the run fails unless every ticket resolves, no reply is wrong, at least
-//! one batch was preempted and the preempted shard recovered (a supervised
-//! restart); with `--gray-rate 0` it instead fails if the armed watchdog
-//! ever preempts a healthy batch (false-positive check).
-//!
-//! With `--pipeline` the command instead runs the whole-model pipeline
-//! soak: the MobileNetV1 DSC chain is compiled into `--stages` balanced
-//! stages and served through the stage-level fault-domain [`Pipeline`],
-//! first as a zero-fault control run and then with one fault of each class
-//! injected at distinct soak points — a stage kill (panic), a stage wedge
-//! (temporal fault preempted by the cycle budget) and a handoff corruption
-//! (caught by the forwarded checksum). Every reply is audited bit-exactly
-//! against the single-machine golden reference. With `--assert-liveness`
-//! the run fails unless 100 % of in-flight inferences complete bit-exact,
-//! the kill and the wedge each fail over to a stage spare (exactly two
-//! failovers under a zero restart budget), healing replays only from the
-//! last checkpoint (stage 0 never replays), and the control phase shows
-//! zero failovers, zero replays and zero restores.
-//!
-//! With `--pipeline --overload` the two umbrellas combine into the
-//! whole-model overload/liveness soak: a control phase proves the armed
-//! stage watchdogs and pipeline brownout ladder are inert on a healthy,
-//! unloaded pipeline (no false preemptions, no ladder transitions); a
-//! calibration phase measures closed-loop capacity; then one pipeline —
-//! with stage watchdogs armed as the *only* preemption path (no cycle
-//! budget), a stage wedge and a stage kill injected, and CoDel-driven
-//! priority admission on stage 0 — absorbs a sequential fault warm-up
-//! followed by an open-loop mixed-priority drive at `--overload-factor`
-//! times capacity. With `--assert-slo` the run fails unless every ticket
-//! resolves, every delivered reply is bit-exact, ≥ 99 % of admitted
-//! Interactive whole-model inferences meet `--slo-ms`, the wedge was
-//! preempted by the stage watchdog (and recovered via failover), and the
-//! brownout ladder actually engaged.
-//!
-//! With `--crash` the command instead runs the crash-durability soak: a
-//! *journaled* serving core (DESIGN §18) behind the TCP front-end is
-//! hard-killed and restarted `--lives` times while keyed closed-loop
-//! drivers submit requests under client idempotency keys, reconnecting
-//! with session resume after every kill. A zero-crash control phase first
-//! proves the journal is inert when disabled (keys execute twice, no
-//! journal counters move, no file appears). With `--assert-durability`
-//! the run fails unless every key completes bit-exactly against the
-//! golden host reference exactly once (zero lost admitted requests, zero
-//! duplicate executions), every recovery replayed something and stayed
-//! under `--recovery-bound-ms`, reconnect actually resumed unreplied
-//! requests, and a post-completion retry is redelivered from the dedup
-//! table without re-executing.
-//!
-//! With `--overload` the command instead runs the overload-control soak:
-//! it first *calibrates* the server's closed-loop capacity, then drives it
-//! open-loop at `--overload-factor` times that rate (default 2×) with a
-//! mixed-priority workload (30 % Interactive carrying a `--slo-ms`
-//! deadline, 40 % Batch, 30 % BestEffort) while CoDel admission, weighted
-//! fair dequeue, hedged execution and circuit breakers are all enabled.
-//! With `--assert-slo` the run fails unless ≥ 99 % of *admitted*
-//! Interactive requests complete within the SLO, every ticket resolves
-//! (no silent drops), and every reply — hedge winners included — is
-//! bit-exact against the golden host reference.
-//!
-//! Every soak accepts `--tier cycle-accurate|fast` selecting the shards'
-//! execution backend. On the fast tier the same fault plans flip bits in
-//! (and wedge/stall/slow) the functional executor, so `--assert-detection`
-//! additionally proves the ABFT layer catches corruption without the
-//! cycle-accurate machinery underneath — and the per-shard golden
-//! cross-check replays served batches on a scratch cycle-accurate machine
-//! as a second line of defense.
-//!
-//! [`Ticket::wait_timeout`]: npcgra::serve::Ticket::wait_timeout
-//! [`CancelToken`]: npcgra::sim::CancelToken
-//! [`Pipeline`]: npcgra::serve::Pipeline
+//! `--tier cycle-accurate|fast` selects the shards' backend wherever a row
+//! reads it. On the fast tier the same fault plans corrupt and stall the
+//! functional executor, so `--assert-detection` also proves ABFT without
+//! the cycle-accurate machinery underneath. The three seeds
+//! (`--fault-seed`, `--chaos-seed`, `--crash-seed`) select the
+//! deterministic fault plan, so a failed soak can be re-run as it failed.
+//! Everything else that shapes a soak is a named constant next to the
+//! code that uses it.
 
-use std::collections::HashSet;
-use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod crash;
+mod harness;
+mod net;
+mod pipeline;
+mod single;
 
-use npcgra::net::frame::{code as wire_code, WireReply};
-use npcgra::net::{ClientError, NetChaos, NetChaosConfig, NetClient, NetConfig, NetServer, TenantSpec};
-use npcgra::nn::{models, reference, ConvLayer, Tensor};
-use npcgra::serve::{
-    BackendTier, ChaosConfig, JournalConfig, ModelId, OverloadConfig, Priority, ServeConfig, ServeError, Server, Ticket,
-    WorkerExit,
-};
+use npcgra::serve::BackendTier;
 
 use crate::args::Flags;
+use harness::Common;
+
+/// One soak mode: how it is selected, what it reads, its defaults for the
+/// flags modes share, and its body.
+pub struct Mode {
+    /// The flags that select it; the first row whose flags are all present
+    /// wins.
+    select: &'static [&'static str],
+    /// Every other flag it reads. Anything else is refused up front.
+    reads: &'static str,
+    tier: BackendTier,
+    workers: usize,
+    /// Closed- and open-loop client threads (`--net`, `--crash`: driver
+    /// threads).
+    clients: usize,
+    seconds: f64,
+    slo_ms: u64,
+    run: fn(&Flags, &Common) -> Result<(), String>,
+}
+
+const DEFAULTS: Mode = Mode {
+    select: &[],
+    reads: "",
+    tier: BackendTier::CycleAccurate,
+    workers: 4,
+    clients: 8,
+    seconds: 4.0,
+    slo_ms: 250,
+    run: single::run_fault,
+};
+
+const MODES: [Mode; 7] = [
+    Mode {
+        select: &["crash"],
+        reads: "machine tier workers crash-seed assert-durability",
+        workers: 2,
+        clients: 4,
+        run: crash::run_crash,
+        ..DEFAULTS
+    },
+    Mode {
+        select: &["net"],
+        reads: "machine tier workers seconds overload-factor slo-ms chaos-seed assert-slo",
+        run: net::run_net,
+        ..DEFAULTS
+    },
+    Mode {
+        select: &["pipeline", "overload"],
+        reads: "machine tier clients seconds overload-factor slo-ms stages spares requests assert-slo",
+        // The fast tier gives a whole-model SLO assertion its volume.
+        tier: BackendTier::Fast,
+        clients: 4,
+        slo_ms: 1_000,
+        run: pipeline::run_pipeline_overload,
+        ..DEFAULTS
+    },
+    Mode {
+        select: &["pipeline"],
+        reads: "machine stages spares checkpoint-every requests assert-liveness",
+        run: pipeline::run_pipeline,
+        ..DEFAULTS
+    },
+    Mode {
+        select: &["overload"],
+        reads: "machine tier workers clients seconds overload-factor slo-ms assert-slo",
+        run: single::run_overload,
+        ..DEFAULTS
+    },
+    Mode {
+        select: &["gray"],
+        reads: "machine tier workers clients seconds gray-rate fault-seed assert-liveness",
+        run: single::run_gray,
+        ..DEFAULTS
+    },
+    Mode {
+        reads: "machine tier workers clients seconds fault-rate fault-seed panic-worker assert-detection",
+        seconds: 5.0,
+        ..DEFAULTS
+    },
+];
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    if flags.has("crash") {
-        return run_crash(&flags);
-    }
-    if flags.has("net") {
-        return run_net(&flags);
-    }
-    if flags.has("pipeline") {
-        if flags.has("overload") {
-            return run_pipeline_overload(&flags);
-        }
-        return run_pipeline(&flags);
-    }
-    if flags.has("overload") {
-        return run_overload(&flags);
-    }
-    if flags.has("gray") {
-        return run_gray(&flags);
-    }
-    if flags.has("assert-slo") {
-        return Err("--assert-slo needs --overload or --net".to_string());
-    }
-    if flags.has("assert-liveness") {
-        return Err("--assert-liveness needs --gray or --pipeline".to_string());
-    }
-    if flags.has("assert-durability") {
-        return Err("--assert-durability needs --crash".to_string());
-    }
-    let spec = flags.machine()?;
-    let workers: usize = parse_or(&flags, "workers", 4)?;
-    let clients: usize = parse_or(&flags, "clients", 8)?;
-    let seconds: f64 = parse_or(&flags, "seconds", 5.0)?;
-    let fault_rate: f64 = parse_or(&flags, "fault-rate", 1e-4)?;
-    let fault_seed: u64 = parse_or(&flags, "fault-seed", 0xC6A05)?;
-    let max_batch: usize = parse_or(&flags, "max-batch", 4)?;
-    let linger_us: u64 = parse_or(&flags, "linger-us", 500)?;
-    let alpha: f64 = parse_or(&flags, "alpha", 0.25)?;
-    let res: usize = parse_or(&flags, "res", 32)?;
-    let wait_ms: u64 = parse_or(&flags, "wait-ms", 250)?;
-    let assert_detection = flags.has("assert-detection");
-    let canary_every: u64 = parse_or(&flags, "canary-every", if assert_detection { 32 } else { 0 })?;
-    let tier = flags.tier()?;
-    let which = flags.get("model").unwrap_or("mixed");
-    let panic_worker: Option<usize> = match flags.get("panic-worker") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| format!("--panic-worker: bad value '{v}'"))?),
-    };
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if workers == 0 {
-        return Err("chaos-bench needs at least one worker".to_string());
-    }
-
-    let chaos = ChaosConfig {
-        panic_on_first_batch: panic_worker,
-        poison_value: None,
-        fault_seed: (fault_rate > 0.0).then_some(fault_seed),
-        fault_rate,
-        ..ChaosConfig::default()
-    };
-    let config = ServeConfig::for_spec(&spec)
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_linger(Duration::from_micros(linger_us))
-        .with_canary_interval(canary_every)
-        .with_backend_tier(tier)
-        .with_chaos(chaos);
-
-    let model_tables = build_models(which, alpha, res)?;
-
-    quiet_worker_panics();
-
-    let server = Server::start(config);
-    let (endpoints, goldens) = register_endpoints(&server, &model_tables)?;
-    println!(
-        "chaos-bench [{tier}]: {} models, {} shard(s) of a {}x{} machine, {} clients for {seconds:.1}s, \
-         fault rate {fault_rate:e} (seed {fault_seed:#x}), panic worker {panic_worker:?}",
-        endpoints.len(),
-        workers,
-        spec.rows,
-        spec.cols,
-        clients,
-    );
-
-    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-    let hung = AtomicU64::new(0);
-    let answered = AtomicU64::new(0);
-    let wrong = AtomicU64::new(0);
-    let quarantined_seen = AtomicU64::new(0);
-    let server_ref = &server;
-    let endpoints_ref = &endpoints;
-    let goldens_ref = &goldens;
-    let hung_ref = &hung;
-    let answered_ref = &answered;
-    let wrong_ref = &wrong;
-    let quarantined_ref = &quarantined_seen;
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            scope.spawn(move || {
-                let mut r = 0usize;
-                while Instant::now() < deadline {
-                    let idx = r % endpoints_ref.len();
-                    let id = endpoints_ref[idx];
-                    let seed = (c * 1_000_000 + r) as u64;
-                    r += 1;
-                    let input = input_for(server_ref, id, seed);
-                    // The detection audit needs the golden output; compute
-                    // it before the input moves into the request.
-                    let golden = assert_detection.then(|| {
-                        let (layer, w) = &goldens_ref[idx];
-                        reference::run_layer(layer, &input, w).expect("golden reference")
-                    });
-                    match server_ref.submit(id, input) {
-                        Ok(ticket) => {
-                            // Poll with a bounded wait so a stranded reply
-                            // channel shows up as a hang count, not a wedge.
-                            let mut waited = Duration::ZERO;
-                            let cap = Duration::from_millis(wait_ms) * 40;
-                            loop {
-                                match ticket.wait_timeout(Duration::from_millis(wait_ms)) {
-                                    Err(ServeError::ReplyTimeout { waited: w }) => {
-                                        waited += w;
-                                        if waited >= cap {
-                                            hung_ref.fetch_add(1, Ordering::Relaxed);
-                                            break;
-                                        }
-                                    }
-                                    result => {
-                                        answered_ref.fetch_add(1, Ordering::Relaxed);
-                                        match result {
-                                            Ok(resp) => {
-                                                if golden.as_ref().is_some_and(|g| resp.output != *g) {
-                                                    wrong_ref.fetch_add(1, Ordering::Relaxed);
-                                                }
-                                            }
-                                            Err(ServeError::Quarantined { .. }) => {
-                                                quarantined_ref.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                            Err(_) => {}
-                                        }
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Err(ServeError::QueueFull { .. } | ServeError::Degraded { .. }) => {
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        Err(ServeError::ShuttingDown) => break,
-                        Err(e) => panic!("submit failed: {e}"),
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = server.shutdown();
-    println!("{stats}");
-
-    let hung = hung.load(Ordering::Relaxed);
-    let answered = answered.load(Ordering::Relaxed);
-    if hung > 0 {
-        return Err(format!("{hung} ticket(s) never resolved — a reply was lost"));
-    }
-    if stats.worker_exits.contains(&WorkerExit::Panicked) {
-        return Err(format!("a worker thread escaped supervision: exits {:?}", stats.worker_exits));
-    }
-    if panic_worker.is_some() && stats.restarts == 0 {
-        return Err("injected panic never surfaced as a supervised restart".to_string());
-    }
-    if assert_detection {
-        let wrong = wrong.load(Ordering::Relaxed);
-        let detected = stats.integrity_failed;
-        println!(
-            "detection: {detected} checksum trips, {wrong} silently wrong replies, {} recovered, \
-             {} quarantined, {} canary runs ({} failed)",
-            stats.integrity_recovered,
-            quarantined_seen.load(Ordering::Relaxed),
-            stats.canary_runs,
-            stats.canary_failed,
-        );
-        if detected == 0 {
-            return Err(
-                "assert-detection: the fault plan never tripped the integrity layer — raise --fault-rate or --seconds"
-                    .to_string(),
-            );
-        }
-        // The checksum identities are exact mod 2^16, so an undetected
-        // corrupted reply means the flip's error coefficients cancelled in
-        // every checksum — bounded below one percent of corruption events.
-        let ratio = detected as f64 / (detected + wrong) as f64;
-        if ratio < 0.99 {
-            return Err(format!(
-                "assert-detection: only {:.2}% of corrupted executions were detected \
-                 ({wrong} silently wrong replies escaped the checksums)",
-                ratio * 100.0
-            ));
-        }
-        if stats.integrity_recovered == 0 {
-            return Err("assert-detection: detected corruption was never healed by retry".to_string());
-        }
-    }
-    println!(
-        "chaos-bench PASS: {answered} tickets resolved, 0 hung; {} panic(s) caught, {} restart(s), \
-         {} retries, {} quarantined",
-        stats.panics_caught, stats.restarts, stats.retries, stats.quarantined
-    );
-    Ok(())
-}
-
-/// The `--pipeline` soak: compile the MobileNetV1 DSC chain into balanced
-/// stages, serve it through the stage-level fault-domain [`Pipeline`], and
-/// prove checkpointed failover — a zero-fault control phase, then a
-/// faulted phase with one stage kill, one stage wedge and one handoff
-/// corruption at distinct soak points. Every reply is audited bit-exactly
-/// against the single-machine golden reference; `--assert-liveness` turns
-/// the audit into a hard gate.
-///
-/// [`Pipeline`]: npcgra::serve::Pipeline
-fn run_pipeline(flags: &Flags) -> Result<(), String> {
-    use npcgra::serve::{Pipeline, StageFault};
-    use npcgra::sim::CompiledModel;
-
-    let spec = flags.machine()?;
-    let stages: usize = parse_or(flags, "stages", 4)?;
-    let spares: usize = parse_or(flags, "spares", 1)?;
-    let checkpoint_every: usize = parse_or(flags, "checkpoint-every", 1)?;
-    let requests: u64 = parse_or(flags, "requests", 24)?;
-    let alpha: f64 = parse_or(flags, "alpha", 0.25)?;
-    let res: usize = parse_or(flags, "res", 32)?;
-    let cycle_budget: f64 = parse_or(flags, "cycle-budget", 8.0)?;
-    let wait_ms: u64 = parse_or(flags, "wait-ms", 250)?;
-    let assert_liveness = flags.has("assert-liveness");
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if stages < 2 {
-        return Err(format!("--pipeline needs --stages >= 2, got {stages}"));
-    }
-    if requests < 4 {
-        return Err(format!("--pipeline needs --requests >= 4, got {requests}"));
-    }
-
-    let layers: Vec<ConvLayer> = models::mobilenet_v1(alpha, res).dsc_layers().cloned().collect();
-    let model = CompiledModel::compile("mobilenet_v1", &layers, &spec, stages)
-        .map_err(|e| format!("compiling the pipeline model: {e}"))?;
-    let stages = model.num_stages(); // the chain's unit count may cap it
-    if stages < 2 {
-        return Err(format!("the chain only supports {stages} stage(s) — too short for the soak"));
-    }
-    let weights: Vec<Tensor> = layers
+    let given = |flag: &&str| args.iter().any(|a| a.strip_prefix("--") == Some(flag));
+    let mode = MODES
         .iter()
-        .enumerate()
-        .map(|(i, l)| l.random_weights(0xC0FFEE + i as u64))
-        .collect();
-    let base = ServeConfig::for_spec(&spec)
-        .with_pipeline_stages(stages)
-        .with_stage_spares(spares)
-        .with_checkpoint_every(checkpoint_every)
-        .with_restart_budget(0)
-        .with_restart_backoff(Duration::from_micros(100))
-        .with_cycle_budget(cycle_budget)
-        .with_max_retries(4)
-        .with_queue_capacity(requests as usize + 8);
-
-    // One fault of each class, in distinct stages at distinct soak points.
-    let kill = StageFault {
-        stage: 1,
-        job: requests / 4,
-    };
-    let wedge = StageFault {
-        stage: (stages / 2).max(1),
-        job: requests / 2,
-    };
-    let corrupt = StageFault {
-        stage: stages - 1,
-        job: requests * 3 / 4,
-    };
-    let mut faulted = base;
-    faulted.chaos.stage_kill = Some(kill);
-    faulted.chaos.stage_wedge = Some(wedge);
-    faulted.chaos.stage_corrupt = Some(corrupt);
-
-    println!(
-        "chaos-bench --pipeline: {} layers in {stages} stage(s) over a {}x{} machine, {requests} inferences \
-         per phase, {spares} spare(s)/stage, checkpoint every {checkpoint_every}, cycle budget {cycle_budget}x",
-        model.num_layers(),
-        spec.rows,
-        spec.cols,
-    );
-    println!(
-        "  faults: kill stage {} @ job {}, wedge stage {} @ job {}, corrupt handoff into stage {} @ job {}",
-        kill.stage, kill.job, wedge.stage, wedge.job, corrupt.stage, corrupt.job,
-    );
-
-    quiet_worker_panics();
-
-    let shape = model.input_shape();
-    let inputs: Vec<Tensor> = (0..requests)
-        .map(|i| Tensor::random(shape.0, shape.1, shape.2, 0x717E + i))
-        .collect();
-    let goldens: Vec<Tensor> = inputs
-        .iter()
-        .map(|input| {
-            layers.iter().zip(&weights).fold(input.clone(), |act, (l, w)| {
-                reference::run_layer(l, &act, w).expect("golden reference")
-            })
-        })
-        .collect();
-
-    let mut phase_stats = Vec::new();
-    for (phase, cfg) in [("control", base), ("faulted", faulted)] {
-        let pipe = Pipeline::start(cfg, model.clone(), weights.clone()).map_err(|e| format!("{phase}: start: {e}"))?;
-        let tickets: Vec<_> = inputs
-            .iter()
-            .map(|input| pipe.submit(input.clone()).map_err(|e| format!("{phase}: submit: {e}")))
-            .collect::<Result<_, _>>()?;
-        let mut wrong = 0u64;
-        let mut unresolved = 0u64;
-        let mut completed = 0u64;
-        let cap = Duration::from_millis(wait_ms) * 120;
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let mut waited = Duration::ZERO;
-            loop {
-                match ticket.wait_timeout(Duration::from_millis(wait_ms)) {
-                    Err(ServeError::ReplyTimeout { waited: w }) => {
-                        waited += w;
-                        if waited >= cap {
-                            unresolved += 1;
-                            break;
-                        }
-                    }
-                    Ok(resp) => {
-                        completed += 1;
-                        if resp.output != goldens[i] {
-                            wrong += 1;
-                        }
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        let stats = pipe.shutdown();
-        println!("--- {phase} phase ---\n{stats}");
-        if unresolved > 0 {
-            return Err(format!(
-                "{phase}: {unresolved} inference(s) never resolved — a stage wedged silently"
-            ));
-        }
-        if wrong > 0 {
-            return Err(format!(
-                "{phase}: {wrong} reply(s) diverged from the golden run — healing broke bit-exactness"
-            ));
-        }
-        if completed != requests {
-            return Err(format!(
-                "{phase}: only {completed}/{requests} inference(s) completed — in-flight work was lost"
-            ));
-        }
-        phase_stats.push(stats);
-    }
-
-    let (control, chaos) = (&phase_stats[0], &phase_stats[1]);
-    if assert_liveness {
-        if control.total_failovers() != 0 || control.total_replays() != 0 || control.checkpoint_restores != 0 {
-            return Err(format!(
-                "assert-liveness: the zero-fault control phase touched the healing machinery \
-                 ({} failover(s), {} replay(s), {} restore(s))",
-                control.total_failovers(),
-                control.total_replays(),
-                control.checkpoint_restores
-            ));
-        }
-        if chaos.panics_caught != 1 || chaos.preemptions < 1 || chaos.handoff_corruptions != 1 {
-            return Err(format!(
-                "assert-liveness: not every fault class landed ({} panic(s), {} preemption(s), \
-                 {} handoff corruption(s))",
-                chaos.panics_caught, chaos.preemptions, chaos.handoff_corruptions
-            ));
-        }
-        if chaos.total_failovers() != 2 {
-            return Err(format!(
-                "assert-liveness: the kill and the wedge must each fail over once under a zero \
-                 restart budget, got {:?}",
-                chaos.stage_failovers
-            ));
-        }
-        if chaos.stage_replays.first().copied().unwrap_or(0) != 0 {
-            return Err(format!(
-                "assert-liveness: stage 0 replayed — healing did not start from the last checkpoint \
-                 (replays {:?})",
-                chaos.stage_replays
-            ));
-        }
-        if chaos.checkpoint_restores < 3 {
-            return Err(format!(
-                "assert-liveness: expected one restore per injected fault, got {}",
-                chaos.checkpoint_restores
-            ));
-        }
-    }
-    println!(
-        "chaos-bench --pipeline PASS: {requests}+{requests} inferences bit-exact, 0 unresolved; faulted phase: \
-         {} failover(s), replays/stage {:?}, {} restore(s)",
-        chaos.total_failovers(),
-        chaos.stage_replays,
-        chaos.checkpoint_restores
-    );
-    Ok(())
-}
-
-/// The `--pipeline --overload` combined soak: whole-model serving under
-/// the full overload/liveness umbrella. Three phases on the MobileNetV1
-/// DSC chain:
-///
-/// 1. **Control** — sequential zero-fault, zero-overload traffic through a
-///    pipeline with stage watchdogs and the brownout controller *armed*:
-///    proves no false preemptions and no ladder transitions.
-/// 2. **Calibration** — closed-loop clients measure pipelined capacity.
-/// 3. **Soak** — one pipeline with a stage wedge and a stage kill injected
-///    (watchdog wall deadlines the only preemption path — no cycle
-///    budget) absorbs a sequential warm-up that calibrates the per-stage
-///    ns-per-cycle estimates and lands both faults, then an open-loop
-///    mixed-priority drive at `--overload-factor`× capacity with
-///    Interactive traffic carrying `--slo-ms` deadlines.
-///
-/// `--assert-slo` gates: every ticket resolves, delivered replies are
-/// bit-exact, ≥ 99 % of admitted Interactive inferences meet the SLO, the
-/// stage watchdog preempted the wedge, the kill was contained, both healed
-/// via failover, and the brownout ladder engaged.
-///
-/// [`Pipeline`]: npcgra::serve::Pipeline
-fn run_pipeline_overload(flags: &Flags) -> Result<(), String> {
-    use npcgra::serve::{Pipeline, PipelineConfig, StageFault};
-    use npcgra::sim::CompiledModel;
-
-    let spec = flags.machine()?;
-    let stages: usize = parse_or(flags, "stages", 4)?;
-    let spares: usize = parse_or(flags, "spares", 1)?;
-    let requests: u64 = parse_or(flags, "requests", 16)?;
-    let clients: usize = parse_or(flags, "clients", 4)?;
-    let seconds: f64 = parse_or(flags, "seconds", 4.0)?;
-    let calib_seconds: f64 = parse_or(flags, "calib-seconds", 1.0)?;
-    let factor: f64 = parse_or(flags, "overload-factor", 2.0)?;
-    let slo_ms: u64 = parse_or(flags, "slo-ms", 1_000)?;
-    let delay_target_us: u64 = parse_or(flags, "delay-target-us", 2_000)?;
-    let delay_window_ms: u64 = parse_or(flags, "delay-window-ms", 50)?;
-    let inflight_cap: usize = parse_or(flags, "inflight-cap", 2)?;
-    let watchdog_slack: f64 = parse_or(flags, "watchdog-slack", 4.0)?;
-    let alpha: f64 = parse_or(flags, "alpha", 0.25)?;
-    let res: usize = parse_or(flags, "res", 32)?;
-    let wait_ms: u64 = parse_or(flags, "wait-ms", 250)?;
-    let assert_slo = flags.has("assert-slo");
-    // This soak validates overload/liveness *policy* — admission, deadlines,
-    // watchdog preemption — not cycle timing, so it defaults to the fast
-    // tier: whole-model capacity is orders of magnitude higher, which both
-    // gives the 99% SLO assertion statistical volume and keeps CoDel's
-    // sliding windows densely sampled. `--tier cycle-accurate` still works
-    // (lengthen --seconds to regain volume).
-    let tier = match flags.get("tier") {
-        None => BackendTier::Fast,
-        Some(v) => v.parse().map_err(|e: String| format!("--tier: {e}"))?,
-    };
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if stages < 2 {
-        return Err(format!("--pipeline needs --stages >= 2, got {stages}"));
-    }
-    if requests < 12 {
-        return Err(format!("--pipeline --overload needs --requests >= 12, got {requests}"));
-    }
-    if clients == 0 {
-        return Err("--pipeline --overload needs at least one client".to_string());
-    }
-    if !(1.0..=100.0).contains(&factor) {
-        return Err(format!("--overload-factor must be in [1, 100], got {factor}"));
-    }
-
-    let layers: Vec<ConvLayer> = models::mobilenet_v1(alpha, res).dsc_layers().cloned().collect();
-    let model = CompiledModel::compile("mobilenet_v1", &layers, &spec, stages)
-        .map_err(|e| format!("compiling the pipeline model: {e}"))?;
-    let stages = model.num_stages();
-    if stages < 2 {
-        return Err(format!("the chain only supports {stages} stage(s) — too short for the soak"));
-    }
-    let weights: Vec<Tensor> = layers
-        .iter()
-        .enumerate()
-        .map(|(i, l)| l.random_weights(0xC0FFEE + i as u64))
-        .collect();
-    let golden_of = |input: &Tensor| -> Tensor {
-        layers.iter().zip(&weights).fold(input.clone(), |act, (l, w)| {
-            reference::run_layer(l, &act, w).expect("golden reference")
-        })
-    };
-
-    // The armed umbrella: stage watchdogs (the ONLY preemption path — no
-    // cycle budget) plus CoDel-driven brownout over stage-queue sojourns.
-    let armed = PipelineConfig {
-        delay_target: Some(Duration::from_micros(delay_target_us)),
-        delay_window: Duration::from_millis(delay_window_ms),
-        watchdog_slack,
-        stage_inflight_cap: inflight_cap,
-        ..PipelineConfig::default()
-    };
-    let base = ServeConfig::for_spec(&spec)
-        .with_backend_tier(tier)
-        .with_pipeline_stages(stages)
-        .with_stage_spares(spares)
-        .with_checkpoint_every(1)
-        .with_restart_budget(0)
-        .with_restart_backoff(Duration::from_micros(100))
-        .with_max_retries(4)
-        .with_queue_capacity(1024)
-        .with_pipeline(armed);
-    // One gray fault and one crash fault, in distinct stages, landing
-    // after the sequential warm-up has calibrated every stage's wall
-    // estimate (4 healthy passes arm the watchdog).
-    let wedge = StageFault {
-        stage: (stages / 2).max(1),
-        job: 8,
-    };
-    let kill = StageFault { stage: 1, job: 10 };
-    let mut faulted = base;
-    faulted.chaos.stage_wedge = Some(wedge);
-    faulted.chaos.stage_kill = Some(kill);
-
-    println!(
-        "chaos-bench --pipeline --overload: {} layers in {stages} stage(s) over a {}x{} machine ({tier} tier); \
-         watchdog slack {watchdog_slack}x (no cycle budget), CoDel target {delay_target_us}us window {delay_window_ms}ms, \
-         wedge stage {} @ job {}, kill stage {} @ job {}",
-        model.num_layers(),
-        spec.rows,
-        spec.cols,
-        wedge.stage,
-        wedge.job,
-        kill.stage,
-        kill.job,
-    );
-
-    quiet_worker_panics();
-    let shape = model.input_shape();
-
-    // Phase 1 — control: sequential healthy traffic with everything armed.
-    // One job in flight at a time means no standing queue and no wedges, so
-    // any preemption or ladder transition here is a false positive.
-    let control_pipe = Pipeline::start(base, model.clone(), weights.clone()).map_err(|e| format!("control: start: {e}"))?;
-    for i in 0..requests {
-        let input = Tensor::random(shape.0, shape.1, shape.2, 0xA11CE + i);
-        let golden = golden_of(&input);
-        let out = control_pipe
-            .submit(input)
-            .and_then(Ticket::wait)
-            .map_err(|e| format!("control: inference {i}: {e}"))?;
-        if out.output != golden {
-            return Err(format!("control: inference {i} diverged from the golden run"));
-        }
-    }
-    let control = control_pipe.shutdown();
-    println!("--- control phase ---\n{control}");
-    if control.watchdog_preemptions > 0 {
-        return Err(format!(
-            "control: {} stage-watchdog preemption(s) on healthy sequential traffic — the watchdog misfires",
-            control.watchdog_preemptions
-        ));
-    }
-    if control.brownout_escalations > 0 || control.overload_sheds.iter().sum::<u64>() > 0 {
-        return Err(format!(
-            "control: the brownout ladder engaged with no overload ({} escalation(s), {:?} shed(s))",
-            control.brownout_escalations, control.overload_sheds
-        ));
-    }
-    if control.total_failovers() != 0 || control.total_replays() != 0 || control.deadline_sheds != 0 {
-        return Err("control: healing/deadline machinery engaged on a healthy unloaded pipeline".to_string());
-    }
-
-    // Phase 2 — closed-loop capacity calibration on a plain pipeline (no
-    // overload knobs: measure the service rate, not the brownout policy).
-    let calib_pipe = Pipeline::start(base.with_pipeline(PipelineConfig::default()), model.clone(), weights.clone())
-        .map_err(|e| format!("calibration: start: {e}"))?;
-    let calib_start = Instant::now();
-    let calib_end = calib_start + Duration::from_secs_f64(calib_seconds);
-    let calibrated = AtomicU64::new(0);
-    let (calib_ref, calibrated_ref) = (&calib_pipe, &calibrated);
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            scope.spawn(move || {
-                let mut r = 0u64;
-                while Instant::now() < calib_end {
-                    let input = Tensor::random(shape.0, shape.1, shape.2, 0xCA1B + c as u64 * 1_000_000 + r);
-                    r += 1;
-                    match calib_ref.submit(input) {
-                        Ok(t) => {
-                            let _ = t.wait_timeout(Duration::from_secs(10));
-                            calibrated_ref.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_micros(200)),
-                    }
-                }
-            });
-        }
-    });
-    let calibrated = calibrated.load(Ordering::Relaxed);
-    let capacity_rps = calibrated as f64 / calib_start.elapsed().as_secs_f64();
-    let _ = calib_pipe.shutdown();
-    if calibrated == 0 || capacity_rps <= 0.0 {
-        return Err("calibration completed no inferences — the pipeline is wedged".to_string());
-    }
-    let offered_rps = capacity_rps * factor;
-    println!(
-        "calibrated pipeline capacity ≈ {capacity_rps:.0} inf/s; driving open-loop at {offered_rps:.0} inf/s \
-         ({factor:.1}x) for {seconds:.1}s — 30% Interactive (SLO {slo_ms}ms) / 40% Batch / 30% BestEffort"
-    );
-
-    // Phase 3 — the soak pipeline. First a sequential warm-up: jobs 0..=7
-    // calibrate every stage's ns-per-cycle estimate, job 8 wedges (stage
-    // watchdog preempts on the wall clock), job 10 is killed (supervised
-    // panic) — both heal via the stage spare, audited bit-exact.
-    let pipe = Pipeline::start(faulted, model.clone(), weights.clone()).map_err(|e| format!("soak: start: {e}"))?;
-    let warmup = 12u64;
-    let warmup_cap = Duration::from_millis(wait_ms) * 120;
-    for i in 0..warmup {
-        let input = Tensor::random(shape.0, shape.1, shape.2, 0x3A7 + i);
-        let golden = golden_of(&input);
-        let ticket = pipe
-            .submit_with_priority(input, None, Priority::Batch)
-            .map_err(|e| format!("warm-up: submit {i}: {e}"))?;
-        let mut waited = Duration::ZERO;
-        let out = loop {
-            match ticket.wait_timeout(Duration::from_millis(wait_ms)) {
-                Err(ServeError::ReplyTimeout { waited: w }) => {
-                    waited += w;
-                    if waited >= warmup_cap {
-                        return Err(format!("warm-up: inference {i} never resolved — a stage wedged silently"));
-                    }
-                }
-                Ok(resp) => break resp,
-                Err(e) => return Err(format!("warm-up: inference {i}: {e}")),
-            }
-        };
-        if out.output != golden {
-            return Err(format!("warm-up: inference {i} diverged from the golden run"));
-        }
-    }
-
-    // Open-loop mixed-priority drive on the same (healed) pipeline. The
-    // drive cycles a fixed pool of distinct inputs whose goldens are
-    // precomputed once, so the bit-exact audit of every delivered reply
-    // stays O(1) per reply at fast-tier request volumes.
-    let pool: Vec<(Tensor, Tensor)> = (0..16u64)
-        .map(|k| {
-            let input = Tensor::random(shape.0, shape.1, shape.2, 0x000D_21FE_0000 + k);
-            let golden = golden_of(&input);
-            (input, golden)
-        })
-        .collect();
-    let slo = Duration::from_millis(slo_ms);
-    let start = Instant::now();
-    let drive_end = start + Duration::from_secs_f64(seconds);
-    let (pipe_ref, pool_ref) = (&pipe, &pool);
-    let (recs, rejected) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut recs: Vec<(Priority, usize, Ticket)> = Vec::new();
-                    let mut rejected = [0u64; 3];
-                    let interval = Duration::from_secs_f64(clients as f64 / offered_rps);
-                    let t0 = start + Duration::from_secs_f64(c as f64 / offered_rps);
-                    let mut i: u32 = 0;
-                    loop {
-                        let due = t0 + interval * i;
-                        if due >= drive_end {
-                            break;
-                        }
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let g = i as usize * clients + c;
-                        let class = match g % 10 {
-                            0..=2 => Priority::Interactive,
-                            3..=6 => Priority::Batch,
-                            _ => Priority::BestEffort,
-                        };
-                        let deadline = (class == Priority::Interactive).then_some(slo);
-                        let k = g % pool_ref.len();
-                        let input = pool_ref[k].0.clone();
-                        match pipe_ref.submit_with_priority(input, deadline, class) {
-                            Ok(ticket) => recs.push((class, k, ticket)),
-                            Err(ServeError::ShuttingDown) => break,
-                            Err(_) => rejected[class.index()] += 1,
-                        }
-                        i += 1;
-                    }
-                    (recs, rejected)
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        let mut rej = [0u64; 3];
-        for h in handles {
-            let (r, rj) = h.join().expect("client thread");
-            all.extend(r);
-            for (total, part) in rej.iter_mut().zip(rj) {
-                *total += part;
-            }
-        }
-        (all, rej)
-    });
-
-    // Redeem every admitted ticket, auditing delivered outputs bit-exactly.
-    let wait_cap = Duration::from_millis(wait_ms) * 120;
-    let mut hung = 0u64;
-    let mut wrong = 0u64;
-    let mut admitted = [0u64; 3];
-    let mut served = [0u64; 3];
-    let mut interactive_in_slo = 0u64;
-    for (class, k, ticket) in recs {
-        admitted[class.index()] += 1;
-        let mut waited = Duration::ZERO;
-        let outcome = loop {
-            match ticket.wait_timeout(Duration::from_millis(wait_ms)) {
-                Err(ServeError::ReplyTimeout { waited: w }) => {
-                    waited += w;
-                    if waited >= wait_cap {
-                        break None;
-                    }
-                }
-                other => break Some(other),
-            }
-        };
-        match outcome {
-            None => hung += 1,
-            Some(Ok(resp)) => {
-                served[class.index()] += 1;
-                if resp.output != pool[k].1 {
-                    wrong += 1;
-                }
-                if class == Priority::Interactive && resp.latency <= slo {
-                    interactive_in_slo += 1;
-                }
-            }
-            // A typed shed after admission (deadline, brownout, …): the
-            // ticket resolved; for Interactive it is an SLO miss.
-            Some(Err(_)) => {}
-        }
-    }
-
-    let stats = pipe.shutdown();
-    println!("--- soak phase ---\n{stats}");
-    let offered: u64 = admitted.iter().sum::<u64>() + rejected.iter().sum::<u64>();
-    let attainment = if admitted[0] > 0 {
-        interactive_in_slo as f64 / admitted[0] as f64
-    } else {
-        0.0
-    };
-    println!(
-        "pipeline overload: offered {offered}, admitted I/B/E {}/{}/{}, rejected I/B/E {}/{}/{}; \
-         interactive SLO {interactive_in_slo}/{} within {slo_ms}ms ({:.2}%)",
-        admitted[0],
-        admitted[1],
-        admitted[2],
-        rejected[0],
-        rejected[1],
-        rejected[2],
-        admitted[0],
-        attainment * 100.0,
-    );
-
-    if hung > 0 {
-        return Err(format!("{hung} ticket(s) never resolved — a reply was silently dropped"));
-    }
-    if wrong > 0 {
-        return Err(format!(
-            "{wrong} delivered reply(s) diverged from the golden reference under overload and faults"
-        ));
-    }
-    if assert_slo {
-        if stats.watchdog_preemptions == 0 {
-            return Err("assert-slo: the stage watchdog never preempted the injected wedge".to_string());
-        }
-        if stats.panics_caught != 1 {
-            return Err(format!(
-                "assert-slo: the injected stage kill was not contained (panics caught: {})",
-                stats.panics_caught
-            ));
-        }
-        if stats.total_failovers() < 2 {
-            return Err(format!(
-                "assert-slo: the wedge and the kill must each fail over to a spare, got {:?}",
-                stats.stage_failovers
-            ));
-        }
-        if stats.brownout_escalations == 0 {
-            return Err(
-                "assert-slo: the drive never pushed the pipeline into brownout — raise --overload-factor or --seconds"
-                    .to_string(),
-            );
-        }
-        if stats.overload_sheds.iter().sum::<u64>() == 0 {
-            return Err("assert-slo: the brownout ladder escalated but never shed anything".to_string());
-        }
-        if admitted[0] < 50 {
-            return Err(format!(
-                "assert-slo: only {} Interactive inference(s) admitted — too few for a meaningful \
-                 99% assertion; raise --seconds",
-                admitted[0]
-            ));
-        }
-        if attainment < 0.99 {
-            return Err(format!(
-                "assert-slo: only {:.2}% of admitted Interactive inferences met the {slo_ms}ms SLO (need 99%)",
-                attainment * 100.0
-            ));
-        }
-    }
-    println!(
-        "chaos-bench --pipeline --overload PASS: {offered} offered at {factor:.1}x capacity, 0 hung, 0 wrong; \
-         interactive SLO attainment {:.2}%; {} watchdog preemption(s), {} failover(s), brownout {} up / {} down",
-        attainment * 100.0,
-        stats.watchdog_preemptions,
-        stats.total_failovers(),
-        stats.brownout_escalations,
-        stats.brownout_deescalations,
-    );
-    Ok(())
-}
-
-/// The `--gray` soak: inject temporal faults (wedges, stalls, slowdowns)
-/// into the simulated machines and fail unless the liveness layer —
-/// cycle budgets plus the calibrated batch watchdog — preempts every
-/// stuck run, the preempted shards recover, every ticket resolves, and
-/// every delivered reply stays bit-exact. With `--gray-rate 0` the soak
-/// inverts into a false-positive check: the watchdog stays armed but must
-/// never preempt a healthy batch.
-fn run_gray(flags: &Flags) -> Result<(), String> {
-    let spec = flags.machine()?;
-    let workers: usize = parse_or(flags, "workers", 4)?;
-    let clients: usize = parse_or(flags, "clients", 8)?;
-    let seconds: f64 = parse_or(flags, "seconds", 4.0)?;
-    // Like --fault-rate, --gray-rate is per (run, tile, cycle) point: a
-    // layer spans thousands of points, so per-cycle 2e-5 means a few
-    // percent of runs draw a temporal fault — most batches stay healthy
-    // (calibrating the watchdog), a steady minority wedge/stall/crawl.
-    let gray_rate: f64 = parse_or(flags, "gray-rate", 2e-5)?;
-    let fault_seed: u64 = parse_or(flags, "fault-seed", 0x6EA417)?;
-    let stall_cycles: u64 = parse_or(flags, "stall-cycles", 100_000)?;
-    let slowdown_factor: u32 = parse_or(flags, "slowdown-factor", 16)?;
-    let watchdog_slack: f64 = parse_or(flags, "watchdog-slack", 4.0)?;
-    let cycle_budget: f64 = parse_or(flags, "cycle-budget", 8.0)?;
-    let max_batch: usize = parse_or(flags, "max-batch", 4)?;
-    let linger_us: u64 = parse_or(flags, "linger-us", 500)?;
-    let alpha: f64 = parse_or(flags, "alpha", 0.25)?;
-    let res: usize = parse_or(flags, "res", 32)?;
-    let wait_ms: u64 = parse_or(flags, "wait-ms", 250)?;
-    let assert_liveness = flags.has("assert-liveness");
-    let tier = flags.tier()?;
-    let which = flags.get("model").unwrap_or("mixed");
-    if workers == 0 {
-        return Err("--gray needs at least one worker".to_string());
-    }
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if !(0.0..=1.0).contains(&gray_rate) {
-        return Err(format!("--gray-rate must be in [0, 1], got {gray_rate}"));
-    }
-
-    // Bernoulli bit flips stay off: every run that completes is then
-    // bit-exact by construction, so the golden audit separates "slow but
-    // correct" (fine) from "wrong" (always a failure) cleanly.
-    let chaos = ChaosConfig {
-        panic_on_first_batch: None,
-        poison_value: None,
-        fault_seed: Some(fault_seed),
-        fault_rate: 0.0,
-        gray_rate,
-        gray_stall_cycles: stall_cycles,
-        gray_slowdown_factor: slowdown_factor,
-        ..ChaosConfig::default()
-    };
-    // Preemption walks the same restart ladder as a panic; a soak-length
-    // run preempts many times, so the budget is raised accordingly — the
-    // point here is recovery, not retirement.
-    let config = ServeConfig::for_spec(&spec)
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_linger(Duration::from_micros(linger_us))
-        .with_restart_budget(200)
-        .with_restart_backoff(Duration::from_micros(100))
-        .with_watchdog_slack(watchdog_slack)
-        .with_cycle_budget(cycle_budget)
-        .with_backend_tier(tier)
-        .with_chaos(chaos);
-
-    let model_tables = build_models(which, alpha, res)?;
-    quiet_worker_panics();
-    let server = Server::start(config);
-    let (endpoints, goldens) = register_endpoints(&server, &model_tables)?;
-    println!(
-        "chaos-bench --gray [{tier}]: {} models, {} shard(s) of a {}x{} machine, {} clients for {seconds:.1}s; \
-         gray rate {gray_rate} (seed {fault_seed:#x}), stall {stall_cycles} cycles, slowdown {slowdown_factor}x, \
-         watchdog slack {watchdog_slack}x, cycle budget {cycle_budget}x",
-        endpoints.len(),
-        workers,
-        spec.rows,
-        spec.cols,
-        clients,
-    );
-
-    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-    let hung = AtomicU64::new(0);
-    let answered = AtomicU64::new(0);
-    let delivered = AtomicU64::new(0);
-    let wrong = AtomicU64::new(0);
-    let server_ref = &server;
-    let endpoints_ref = &endpoints;
-    let goldens_ref = &goldens;
-    let (hung_ref, answered_ref, delivered_ref, wrong_ref) = (&hung, &answered, &delivered, &wrong);
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            scope.spawn(move || {
-                let mut r = 0usize;
-                while Instant::now() < deadline {
-                    let idx = r % endpoints_ref.len();
-                    let id = endpoints_ref[idx];
-                    let seed = (c * 1_000_000 + r) as u64;
-                    r += 1;
-                    let input = input_for(server_ref, id, seed);
-                    let (layer, w) = &goldens_ref[idx];
-                    let golden = reference::run_layer(layer, &input, w).expect("golden reference");
-                    match server_ref.submit(id, input) {
-                        Ok(ticket) => {
-                            // A wedge can hold a batch for its whole watchdog
-                            // deadline; the hang cap must dominate that, so a
-                            // counted hang means liveness truly failed.
-                            let mut waited = Duration::ZERO;
-                            let cap = Duration::from_millis(wait_ms) * 120;
-                            loop {
-                                match ticket.wait_timeout(Duration::from_millis(wait_ms)) {
-                                    Err(ServeError::ReplyTimeout { waited: w }) => {
-                                        waited += w;
-                                        if waited >= cap {
-                                            hung_ref.fetch_add(1, Ordering::Relaxed);
-                                            break;
-                                        }
-                                    }
-                                    result => {
-                                        answered_ref.fetch_add(1, Ordering::Relaxed);
-                                        if let Ok(resp) = result {
-                                            delivered_ref.fetch_add(1, Ordering::Relaxed);
-                                            if resp.output != golden {
-                                                wrong_ref.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                        }
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Err(ServeError::QueueFull { .. } | ServeError::Degraded { .. }) => {
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        Err(ServeError::ShuttingDown) => break,
-                        Err(e) => panic!("submit failed: {e}"),
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = server.shutdown();
-    println!("{stats}");
-
-    let hung = hung.load(Ordering::Relaxed);
-    let answered = answered.load(Ordering::Relaxed);
-    let delivered = delivered.load(Ordering::Relaxed);
-    let wrong = wrong.load(Ordering::Relaxed);
-    if hung > 0 {
-        return Err(format!(
-            "{hung} ticket(s) never resolved — a gray-failed batch escaped the liveness layer"
-        ));
-    }
-    if stats.worker_exits.contains(&WorkerExit::Panicked) {
-        return Err(format!("a worker thread escaped supervision: exits {:?}", stats.worker_exits));
-    }
-    if wrong > 0 {
-        return Err(format!(
-            "{wrong} delivered reply(s) diverged from the golden reference under temporal faults"
-        ));
-    }
-    if answered == 0 {
-        return Err("the soak resolved no tickets at all — too short a window?".to_string());
-    }
-    if assert_liveness {
-        if gray_rate > 0.0 {
-            if stats.watchdog_preemptions == 0 {
-                return Err("assert-liveness: no batch was ever preempted — raise --gray-rate or --seconds".to_string());
-            }
-            if stats.restarts == 0 {
-                return Err("assert-liveness: preempted shards never recovered via restart".to_string());
-            }
-            if delivered == 0 {
-                return Err("assert-liveness: no reply was ever delivered under gray faults".to_string());
-            }
-        } else if stats.watchdog_preemptions > 0 {
-            // The false-positive check: an armed watchdog over a healthy
-            // fleet must never fire.
-            return Err(format!(
-                "assert-liveness: {} preemption(s) with no faults injected — the watchdog misfires on healthy batches",
-                stats.watchdog_preemptions
-            ));
-        }
-    }
-    println!(
-        "chaos-bench --gray PASS: {answered} tickets resolved ({delivered} delivered bit-exact), 0 hung, 0 wrong; \
-         {} watchdog preemption(s), {} restart(s), {} retries, {} quarantined",
-        stats.watchdog_preemptions, stats.restarts, stats.retries, stats.quarantined
-    );
-    Ok(())
-}
-
-/// The `--overload` soak: calibrate the server's closed-loop capacity, then
-/// drive it open-loop past that rate with a mixed-priority workload while
-/// every overload control (priority WFQ, CoDel admission, hedging, circuit
-/// breakers) is enabled. With `--assert-slo` the run fails unless admitted
-/// Interactive traffic holds its latency SLO and no reply is lost or wrong.
-fn run_overload(flags: &Flags) -> Result<(), String> {
-    let spec = flags.machine()?;
-    let workers: usize = parse_or(flags, "workers", 4)?;
-    let clients: usize = parse_or(flags, "clients", 8)?;
-    let seconds: f64 = parse_or(flags, "seconds", 4.0)?;
-    let calib_seconds: f64 = parse_or(flags, "calib-seconds", 1.0)?;
-    let factor: f64 = parse_or(flags, "overload-factor", 2.0)?;
-    let slo_ms: u64 = parse_or(flags, "slo-ms", 250)?;
-    let delay_target_us: u64 = parse_or(flags, "delay-target-us", 2_000)?;
-    let hedge_quantile: f64 = parse_or(flags, "hedge-quantile", 0.9)?;
-    let max_batch: usize = parse_or(flags, "max-batch", 4)?;
-    let linger_us: u64 = parse_or(flags, "linger-us", 500)?;
-    let alpha: f64 = parse_or(flags, "alpha", 0.25)?;
-    let res: usize = parse_or(flags, "res", 32)?;
-    let wait_ms: u64 = parse_or(flags, "wait-ms", 250)?;
-    let assert_slo = flags.has("assert-slo");
-    let tier = flags.tier()?;
-    let which = flags.get("model").unwrap_or("mixed");
-    if workers == 0 || clients == 0 {
-        return Err("--overload needs at least one worker and one client".to_string());
-    }
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if !(1.0..=100.0).contains(&factor) {
-        return Err(format!("--overload-factor must be in [1, 100], got {factor}"));
-    }
-
-    let overload = OverloadConfig {
-        delay_target: Some(Duration::from_micros(delay_target_us)),
-        hedge_quantile,
-        hedge_floor: Duration::from_micros(200),
-        hedge_min_samples: 16,
-        ..OverloadConfig::default()
-    };
-    let config = ServeConfig::for_spec(&spec)
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_linger(Duration::from_micros(linger_us))
-        .with_backend_tier(tier)
-        .with_overload(overload);
-
-    let server = Server::start(config);
-    let tables = build_models(which, alpha, res)?;
-    let (endpoints, goldens) = register_endpoints(&server, &tables)?;
-    println!(
-        "chaos-bench --overload [{tier}]: {} models, {} shard(s) of a {}x{} machine; calibrating capacity \
-         closed-loop with {clients} clients for {calib_seconds:.1}s",
-        endpoints.len(),
-        workers,
-        spec.rows,
-        spec.cols,
-    );
-
-    let server_ref = &server;
-    let endpoints_ref = &endpoints;
-
-    // Phase 1 — closed-loop calibration: each client keeps exactly one
-    // request in flight, so completions/second is the service capacity.
-    let calib_start = Instant::now();
-    let calib_end = calib_start + Duration::from_secs_f64(calib_seconds);
-    let calibrated = AtomicU64::new(0);
-    let calibrated_ref = &calibrated;
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            scope.spawn(move || {
-                let mut r = 0usize;
-                while Instant::now() < calib_end {
-                    let id = endpoints_ref[(c + r * clients) % endpoints_ref.len()];
-                    let input = input_for(server_ref, id, (c * 1_000_000 + r) as u64);
-                    r += 1;
-                    match server_ref.submit(id, input) {
-                        Ok(ticket) => {
-                            if ticket.wait_timeout(Duration::from_secs(10)).is_ok() {
-                                calibrated_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_micros(200)),
-                    }
-                }
-            });
-        }
-    });
-    let calibrated = calibrated.load(Ordering::Relaxed);
-    let capacity_rps = calibrated as f64 / calib_start.elapsed().as_secs_f64();
-    if calibrated == 0 || capacity_rps <= 0.0 {
-        return Err("overload calibration completed no requests — the server is wedged".to_string());
-    }
-    let offered_rps = capacity_rps * factor;
-    println!(
-        "calibrated capacity ≈ {capacity_rps:.0} req/s; driving open-loop at {offered_rps:.0} req/s \
-         ({factor:.1}x) for {seconds:.1}s — 30% Interactive (SLO {slo_ms}ms) / 40% Batch / 30% BestEffort"
-    );
-
-    // Phase 2 — open-loop drive at `factor` times capacity. Submissions
-    // follow the wall-clock schedule regardless of replies; tickets are
-    // resolved after the window (the server stamps each reply with its own
-    // admission-to-reply latency, so late redemption skews nothing).
-    let slo = Duration::from_millis(slo_ms);
-    let start = Instant::now();
-    let drive_end = start + Duration::from_secs_f64(seconds);
-    let (recs, rejected) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut recs: Vec<(Priority, usize, u64, Ticket)> = Vec::new();
-                    let mut rejected = [0u64; 3];
-                    let interval = Duration::from_secs_f64(clients as f64 / offered_rps);
-                    let t0 = start + Duration::from_secs_f64(c as f64 / offered_rps);
-                    let mut i: u32 = 0;
-                    loop {
-                        let due = t0 + interval * i;
-                        if due >= drive_end {
-                            break;
-                        }
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let g = i as usize * clients + c;
-                        let class = match g % 10 {
-                            0..=2 => Priority::Interactive,
-                            3..=6 => Priority::Batch,
-                            _ => Priority::BestEffort,
-                        };
-                        let deadline = (class == Priority::Interactive).then_some(slo);
-                        let ei = g % endpoints_ref.len();
-                        let id = endpoints_ref[ei];
-                        let seed = 0x5EED_0000_0000 + g as u64;
-                        let input = input_for(server_ref, id, seed);
-                        match server_ref.submit_with_priority(id, input, deadline, class) {
-                            Ok(ticket) => recs.push((class, ei, seed, ticket)),
-                            Err(ServeError::ShuttingDown) => break,
-                            Err(_) => rejected[class.index()] += 1,
-                        }
-                        i += 1;
-                    }
-                    (recs, rejected)
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        let mut rej = [0u64; 3];
-        for h in handles {
-            let (r, rj) = h.join().expect("client thread");
-            all.extend(r);
-            for (total, part) in rej.iter_mut().zip(rj) {
-                *total += part;
-            }
-        }
-        (all, rej)
-    });
-
-    // Phase 3 — redeem every admitted ticket (the server keeps draining),
-    // auditing each successful reply bit-exactly against the host golden
-    // reference: a hedge winner must be indistinguishable from a solo run.
-    let wait_cap = Duration::from_millis(wait_ms) * 40;
-    let mut hung = 0u64;
-    let mut wrong = 0u64;
-    let mut admitted = [0u64; 3];
-    let mut served = [0u64; 3];
-    let mut interactive_in_slo = 0u64;
-    for (class, ei, seed, ticket) in recs {
-        admitted[class.index()] += 1;
-        let mut waited = Duration::ZERO;
-        let outcome = loop {
-            match ticket.wait_timeout(Duration::from_millis(wait_ms)) {
-                Err(ServeError::ReplyTimeout { waited: w }) => {
-                    waited += w;
-                    if waited >= wait_cap {
-                        break None;
-                    }
-                }
-                other => break Some(other),
-            }
-        };
-        match outcome {
-            None => hung += 1,
-            Some(Ok(resp)) => {
-                served[class.index()] += 1;
-                let (layer, w) = &goldens[ei];
-                let input = input_for(&server, endpoints[ei], seed);
-                let golden = reference::run_layer(layer, &input, w).expect("golden reference");
-                if resp.output != golden {
-                    wrong += 1;
-                    eprintln!("audit: request {} diverged from the golden reference", resp.request_id);
-                }
-                if class == Priority::Interactive && resp.latency <= slo {
-                    interactive_in_slo += 1;
-                }
-            }
-            // A typed shed (DeadlineExceeded, eviction, …) after admission:
-            // the ticket resolved, it just carries an error. For Interactive
-            // that is an SLO miss; for the others it is expected shedding.
-            Some(Err(_)) => {}
-        }
-    }
-
-    let stats = server.shutdown();
-    println!("{stats}");
-
-    let offered: u64 = admitted.iter().sum::<u64>() + rejected.iter().sum::<u64>();
-    let shed = stats.overload_sheds.iter().sum::<u64>() + stats.rejected_queue_full + stats.degraded_sheds;
-    println!(
-        "overload: offered {offered}, admitted I/B/E {}/{}/{}, rejected at admission I/B/E {}/{}/{}",
-        admitted[0], admitted[1], admitted[2], rejected[0], rejected[1], rejected[2],
-    );
-    let attainment = if admitted[0] > 0 {
-        interactive_in_slo as f64 / admitted[0] as f64
-    } else {
-        0.0
-    };
-    println!(
-        "overload: interactive SLO {interactive_in_slo}/{} within {slo_ms}ms ({:.2}%); served I/B/E \
-         {}/{}/{}; {} brownout escalation(s), {} hedge(s) ({} won, {} lost), {} breaker open(s)",
-        admitted[0],
-        attainment * 100.0,
-        served[0],
-        served[1],
-        served[2],
-        stats.brownout_escalations,
-        stats.hedges_dispatched,
-        stats.hedge_wins,
-        stats.hedge_losses,
-        stats.breaker_opens,
-    );
-
-    if hung > 0 {
-        return Err(format!("{hung} ticket(s) never resolved — a reply was silently dropped"));
-    }
-    if stats.worker_exits.contains(&WorkerExit::Panicked) {
-        return Err(format!("a worker thread escaped supervision: exits {:?}", stats.worker_exits));
-    }
-    if wrong > 0 {
-        return Err(format!(
-            "{wrong} reply(s) diverged from the golden reference — hedged execution broke bit-exactness"
-        ));
-    }
-    if assert_slo {
-        if shed == 0 {
-            return Err(
-                "assert-slo: the drive never pushed the server into shedding — raise --overload-factor or --seconds".to_string(),
-            );
-        }
-        if admitted[0] < 50 {
-            return Err(format!(
-                "assert-slo: only {} Interactive request(s) admitted — too few for a meaningful \
-                 99% assertion; raise --seconds",
-                admitted[0]
-            ));
-        }
-        if attainment < 0.99 {
-            return Err(format!(
-                "assert-slo: only {:.2}% of admitted Interactive requests met the {slo_ms}ms SLO \
-                 (need 99%)",
-                attainment * 100.0
-            ));
-        }
-    }
-    println!(
-        "chaos-bench --overload PASS: {offered} offered at {factor:.1}x capacity, 0 hung, 0 wrong; \
-         interactive SLO attainment {:.2}%",
-        attainment * 100.0
-    );
-    Ok(())
-}
-
-/// Per-driver tallies from the `--net` soak's redemption phase.
-#[derive(Default)]
-struct NetAgg {
-    /// Requests that reached the serving core, by priority class.
-    admitted: [u64; 3],
-    /// Typed rejections before admission (backpressure, rate, quota, shed).
-    rejected: [u64; 3],
-    /// Successful replies, by priority class.
-    served: [u64; 3],
-    /// Interactive replies within the SLO.
-    in_slo: u64,
-    /// Admitted requests that resolved to a typed serve error.
-    admitted_failed: u64,
-    /// Submitted tags that never got any reply (the cardinal sin).
-    unresolved: u64,
-    /// Healthy connections that broke (io/wire/close) — must be zero.
-    broken: u64,
-    /// Healthy submits the socket refused — must be zero.
-    submit_failed: u64,
-    /// Request ids whose reply diverged from the golden reference.
-    wrong: Vec<u64>,
-    /// A few admitted-failure messages (each carries its request id).
-    sample_failures: Vec<String>,
-}
-
-impl NetAgg {
-    fn merge(&mut self, other: NetAgg) {
-        for k in 0..3 {
-            self.admitted[k] += other.admitted[k];
-            self.rejected[k] += other.rejected[k];
-            self.served[k] += other.served[k];
-        }
-        self.in_slo += other.in_slo;
-        self.admitted_failed += other.admitted_failed;
-        self.unresolved += other.unresolved;
-        self.broken += other.broken;
-        self.submit_failed += other.submit_failed;
-        self.wrong.extend(other.wrong);
-        if self.sample_failures.len() < 3 {
-            self.sample_failures.extend(other.sample_failures);
-            self.sample_failures.truncate(3);
-        }
-    }
-}
-
-/// A well-formed 17-byte request header declaring a 64 KiB payload that a
-/// slow-loris connection then trickles at ~10 bytes/second: the decoder
-/// stays mid-frame forever, which is exactly the window the read timeout
-/// guards. (The checksum field is garbage, but it is never reached.)
-const LORIS_PREFIX: [u8; 17] = [b'N', b'P', b'C', b'1', 1, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-
-/// The `--net` soak: the whole overload story, but through the socket
-/// front-end. A zero-chaos control phase first proves wire replies are
-/// bit-exact with in-process submits; then closed-loop calibration over
-/// loopback finds the wire capacity; then an open-loop drive at
-/// `--overload-factor`x runs alongside hostile populations — slow-loris
-/// connections trickling half-frames, malformed-frame clients, chaos
-/// clients corrupting/resetting mid-flight — while the healthy tenant's
-/// every request must still resolve, bit-exactly, within the SLO.
-#[allow(clippy::too_many_lines)]
-fn run_net(flags: &Flags) -> Result<(), String> {
-    let spec = flags.machine()?;
-    let workers: usize = parse_or(flags, "workers", 4)?;
-    let drivers: usize = parse_or(flags, "drivers", 8)?;
-    let conns: usize = parse_or(flags, "conns", 560)?;
-    let healthy_conns: usize = parse_or(flags, "healthy-conns", 64)?;
-    let hostile: usize = parse_or(flags, "hostile", 8)?;
-    let seconds: f64 = parse_or(flags, "seconds", 4.0)?;
-    let calib_seconds: f64 = parse_or(flags, "calib-seconds", 1.0)?;
-    let factor: f64 = parse_or(flags, "overload-factor", 2.0)?;
-    let slo_ms: u64 = parse_or(flags, "slo-ms", 250)?;
-    let delay_target_us: u64 = parse_or(flags, "delay-target-us", 2_000)?;
-    let max_batch: usize = parse_or(flags, "max-batch", 4)?;
-    let linger_us: u64 = parse_or(flags, "linger-us", 500)?;
-    let alpha: f64 = parse_or(flags, "alpha", 0.25)?;
-    let res: usize = parse_or(flags, "res", 32)?;
-    let wait_ms: u64 = parse_or(flags, "wait-ms", 250)?;
-    let chaos_seed: u64 = parse_or(flags, "chaos-seed", 0xC4A05)?;
-    let assert_slo = flags.has("assert-slo");
-    let tier = flags.tier()?;
-    let which = flags.get("model").unwrap_or("v1");
-    if workers == 0 || drivers == 0 || healthy_conns == 0 {
-        return Err("--net needs at least one worker, one driver and one healthy connection".to_string());
-    }
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if !(1.0..=100.0).contains(&factor) {
-        return Err(format!("--overload-factor must be in [1, 100], got {factor}"));
-    }
-    let per = healthy_conns.div_ceil(drivers);
-    let healthy_conns = per * drivers;
-    let loris = conns.saturating_sub(healthy_conns + hostile);
-
-    let overload = OverloadConfig {
-        delay_target: Some(Duration::from_micros(delay_target_us)),
-        ..OverloadConfig::default()
-    };
-    let config = ServeConfig::for_spec(&spec)
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_linger(Duration::from_micros(linger_us))
-        .with_backend_tier(tier)
-        .with_overload(overload);
-    let server = Arc::new(Server::start(config));
-    let tables = build_models(which, alpha, res)?;
-    let (endpoints, goldens) = register_endpoints(&server, &tables)?;
-    let server_ref: &Server = &server;
-    let endpoints_ref = &endpoints;
-
-    let net_config = NetConfig::default()
-        .with_max_conns(conns * 2)
-        .with_read_timeout(Some(Duration::from_millis(500)))
-        .with_idle_timeout(Some(Duration::from_secs(30)))
-        .with_write_backlog_limit(1 << 20)
-        .with_tick(Duration::from_millis(2))
-        .with_tenant(TenantSpec::open("fleet", b"tok-fleet"))
-        .with_tenant(TenantSpec::open("gremlin", b"tok-gremlin").with_rate(400.0, 64));
-    let net = NetServer::start(Arc::clone(&server), net_config).map_err(|e| format!("starting front-end: {e}"))?;
-    let addr = net.local_addr();
-    println!(
-        "chaos-bench --net [{tier}]: {} models behind {addr}, {} worker(s); control parity, then \
-         {healthy_conns} healthy + {loris} slow-loris + {hostile} hostile connection(s)",
-        endpoints.len(),
-        workers,
-    );
-
-    // Phase 0 — zero-chaos control: the same inputs through the wire and
-    // through in-process submit must produce bit-identical tensors.
-    let mut control = NetClient::connect(addr, b"tok-fleet").map_err(|e| format!("control connect: {e}"))?;
-    for (ei, &id) in endpoints.iter().enumerate().take(4) {
-        let input = input_for(server_ref, id, 0xC0_0000 + ei as u64);
-        let reply = control
-            .call(
-                id.index() as u32,
-                &input,
-                Priority::Interactive,
-                None,
-                Duration::from_secs(30),
-            )
-            .map_err(|e| format!("control call {ei}: {e}"))?;
-        let resp = match reply.result {
-            Ok(r) => r,
-            Err((code, msg)) => return Err(format!("control request {} refused (code {code}): {msg}", reply.request_id)),
-        };
-        let local = server_ref
-            .submit(id, input)
-            .map_err(|e| format!("control in-process submit {ei}: {e}"))?
-            .wait_timeout(Duration::from_secs(30))
-            .map_err(|e| format!("control in-process wait {ei}: {e}"))?;
-        if resp.tensor() != Some(local.output) {
-            return Err(format!(
-                "control: wire reply for request {} diverged from the in-process submit — \
-                 the wire path is not bit-exact",
-                reply.request_id
-            ));
-        }
-    }
-    let _ = control.bye();
-    drop(control);
-    println!(
-        "control: wire replies bit-exact with in-process submits on {} endpoint(s)",
-        endpoints.len().min(4)
-    );
-
-    // Phase 1 — closed-loop calibration over loopback: one in-flight
-    // request per driver connection measures the wire-path capacity.
-    let calib_start = Instant::now();
-    let calib_end = calib_start + Duration::from_secs_f64(calib_seconds);
-    let calibrated = AtomicU64::new(0);
-    let calibrated_ref = &calibrated;
-    std::thread::scope(|scope| {
-        for c in 0..drivers {
-            scope.spawn(move || {
-                let Ok(mut client) = NetClient::connect(addr, b"tok-fleet") else {
-                    return;
-                };
-                let mut r = 0usize;
-                while Instant::now() < calib_end {
-                    let ei = (c + r * drivers) % endpoints_ref.len();
-                    let id = endpoints_ref[ei];
-                    let input = input_for(server_ref, id, (c * 1_000_000 + r) as u64);
-                    r += 1;
-                    match client.call(id.index() as u32, &input, Priority::Batch, None, Duration::from_secs(10)) {
-                        Ok(reply) if reply.result.is_ok() => {
-                            calibrated_ref.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => std::thread::sleep(Duration::from_micros(200)),
-                        Err(_) => return,
-                    }
-                }
-                let _ = client.bye();
-            });
-        }
-    });
-    let calibrated = calibrated.load(Ordering::Relaxed);
-    let capacity_rps = calibrated as f64 / calib_start.elapsed().as_secs_f64();
-    if calibrated == 0 || capacity_rps <= 0.0 {
-        return Err("net calibration completed no requests — the front-end is wedged".to_string());
-    }
-    let offered_rps = capacity_rps * factor;
-    println!(
-        "calibrated wire capacity ≈ {capacity_rps:.0} req/s; driving open-loop at {offered_rps:.0} req/s \
-         ({factor:.1}x) for {seconds:.1}s — 30% Interactive (SLO {slo_ms}ms) / 40% Batch / 30% BestEffort"
-    );
-
-    // Phase 2 — the soak: hostile populations come up, then the healthy
-    // drivers run the open-loop schedule and redeem every tag.
-    let slo = Duration::from_millis(slo_ms);
-    let wait_cap = Duration::from_millis(wait_ms) * 40;
-    let stop = AtomicBool::new(false);
-    let peak_conns = AtomicU64::new(0);
-    let stop_ref = &stop;
-    let peak_ref = &peak_conns;
-    let goldens_ref = &goldens;
-    let net_ref = &net;
-    let drive_start = Instant::now() + Duration::from_millis(500);
-    let drive_end = drive_start + Duration::from_secs_f64(seconds);
-    let agg = std::thread::scope(|scope| {
-        // Slow-loris population: sockets that send a believable request
-        // header and then trickle the payload one byte per 100ms, staying
-        // mid-frame forever. The reactor must evict each within the read
-        // timeout; the manager reconnects to hold the population steady.
-        scope.spawn(move || {
-            use std::io::Write;
-            let mut socks: Vec<Option<std::net::TcpStream>> = (0..loris).map(|_| None).collect();
-            while !stop_ref.load(Ordering::Relaxed) {
-                for slot in &mut socks {
-                    match slot {
-                        None => {
-                            if let Ok(mut s) = std::net::TcpStream::connect(addr) {
-                                if s.write_all(&LORIS_PREFIX).is_ok() {
-                                    *slot = Some(s);
-                                }
-                            }
-                        }
-                        Some(s) => {
-                            if s.write_all(&[0u8]).is_err() {
-                                *slot = None; // evicted — reconnect next pass
-                            }
-                        }
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        });
-        // Concurrency monitor: samples the live connection count so the
-        // soak can prove the population target was actually reached.
-        scope.spawn(move || {
-            while !stop_ref.load(Ordering::Relaxed) && Instant::now() < drive_end {
-                let active = net_ref.stats().active_conns;
-                peak_ref.fetch_max(active, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        });
-        // Hostile clients: a rotating cast of disconnectors (submit, then
-        // hang up with work in flight), malformed-frame speakers, and
-        // seeded chaos connections that corrupt/split/reset their writes.
-        for h in 0..hostile {
-            scope.spawn(move || {
-                let chaos_cfg = NetChaosConfig {
-                    seed: chaos_seed,
-                    corrupt_rate: 0.15,
-                    partial_rate: 0.10,
-                    stall_read_rate: 0.05,
-                    reset_rate: 0.15,
-                    stall: Duration::from_millis(20),
-                };
-                let mut ord = h as u64 * 10_000;
-                while !stop_ref.load(Ordering::Relaxed) && Instant::now() < drive_end {
-                    let Ok(client) = NetClient::connect(addr, b"tok-gremlin") else {
-                        std::thread::sleep(Duration::from_millis(50));
-                        continue;
-                    };
-                    let mut client = client;
-                    let ei = (ord as usize) % endpoints_ref.len();
-                    let id = endpoints_ref[ei];
-                    let input = input_for(server_ref, id, 0xBAD_0000 + ord);
-                    match ord % 3 {
-                        0 => {
-                            // Mid-flight disconnect: admit work, vanish.
-                            let _ = client.submit(id.index() as u32, &input, Priority::Interactive, None);
-                            client.hangup();
-                        }
-                        1 => {
-                            // Malformed: speak HTTP at a frame decoder.
-                            let _ = client.send_raw(b"GET /v1/infer HTTP/1.1\r\nHost: npcgra\r\n\r\n");
-                            let _ = client.recv_tag(0, Duration::from_millis(200));
-                        }
-                        _ => {
-                            let mut client = client.with_chaos(NetChaos::for_conn(chaos_cfg, ord));
-                            for k in 0..12u64 {
-                                if stop_ref.load(Ordering::Relaxed) || Instant::now() >= drive_end {
-                                    break;
-                                }
-                                let input = input_for(server_ref, id, 0xBAD_1000 + ord + k);
-                                match client.call(id.index() as u32, &input, Priority::Batch, None, Duration::from_millis(500)) {
-                                    Ok(_) | Err(ClientError::Timeout) => {}
-                                    Err(_) => break, // reset/evicted: reconnect
-                                }
-                            }
-                        }
-                    }
-                    ord += 1;
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            });
-        }
-        // Healthy drivers: each owns `per` connections, paces the global
-        // open-loop schedule across them, then redeems every tag and
-        // audits every successful reply against the host golden.
-        let handles: Vec<_> = (0..drivers)
-            .map(|d| {
-                scope.spawn(move || -> Result<NetAgg, String> {
-                    let mut clients = Vec::with_capacity(per);
-                    for k in 0..per {
-                        clients.push(NetClient::connect(addr, b"tok-fleet").map_err(|e| format!("driver {d} conn {k}: {e}"))?);
-                    }
-                    let mut agg = NetAgg::default();
-                    let mut recs: Vec<(usize, u64, Priority, usize, u64)> = Vec::new();
-                    let interval = Duration::from_secs_f64(drivers as f64 / offered_rps);
-                    let t0 = drive_start + Duration::from_secs_f64(d as f64 / offered_rps);
-                    let mut i: u32 = 0;
-                    loop {
-                        let due = t0 + interval * i;
-                        if due >= drive_end {
-                            break;
-                        }
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let g = i as usize * drivers + d;
-                        let class = match g % 10 {
-                            0..=2 => Priority::Interactive,
-                            3..=6 => Priority::Batch,
-                            _ => Priority::BestEffort,
-                        };
-                        let deadline = (class == Priority::Interactive).then_some(slo);
-                        let ei = g % endpoints_ref.len();
-                        let seed = 0x6EED_0000_0000 + g as u64;
-                        let input = input_for(server_ref, endpoints_ref[ei], seed);
-                        let conn = g % per;
-                        match clients[conn].submit(endpoints_ref[ei].index() as u32, &input, class, deadline) {
-                            Ok(tag) => recs.push((conn, tag, class, ei, seed)),
-                            Err(_) => agg.submit_failed += 1,
-                        }
-                        i += 1;
-                    }
-                    for (conn, tag, class, ei, seed) in recs {
-                        match clients[conn].recv_tag(tag, wait_cap) {
-                            Ok(reply) => match reply.result {
-                                Ok(resp) => {
-                                    agg.admitted[class.index()] += 1;
-                                    agg.served[class.index()] += 1;
-                                    let (layer, w) = &goldens_ref[ei];
-                                    let input = input_for(server_ref, endpoints_ref[ei], seed);
-                                    let golden = reference::run_layer(layer, &input, w).expect("golden reference");
-                                    if resp.tensor() != Some(golden) {
-                                        agg.wrong.push(reply.request_id);
-                                    }
-                                    if class == Priority::Interactive && Duration::from_micros(resp.latency_us) <= slo {
-                                        agg.in_slo += 1;
-                                    }
-                                }
-                                Err((code, message)) => {
-                                    if code == wire_code::SERVE && reply.request_id > 0 {
-                                        // Admitted, then typed failure
-                                        // (deadline, shed): an SLO miss for
-                                        // Interactive, expected elsewhere.
-                                        agg.admitted[class.index()] += 1;
-                                        agg.admitted_failed += 1;
-                                        if agg.sample_failures.len() < 3 {
-                                            agg.sample_failures.push(message);
-                                        }
-                                    } else {
-                                        agg.rejected[class.index()] += 1;
-                                    }
-                                }
-                            },
-                            Err(ClientError::Timeout) => agg.unresolved += 1,
-                            Err(_) => agg.broken += 1,
-                        }
-                    }
-                    for c in &mut clients {
-                        let _ = c.bye();
-                    }
-                    Ok(agg)
-                })
-            })
-            .collect();
-        let mut agg = NetAgg::default();
-        let mut failure = None;
-        for h in handles {
-            match h.join().expect("driver thread") {
-                Ok(part) => agg.merge(part),
-                Err(e) => failure = Some(e),
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        failure.map_or(Ok(agg), Err)
-    })?;
-
-    // Phase 3 — teardown and the gates.
-    let net_stats = net.shutdown();
-    let server = Arc::try_unwrap(server).unwrap_or_else(|_| panic!("net front-end still holds the server"));
-    let stats = server.shutdown();
-    println!("{net_stats}");
-    println!("{stats}");
-
-    let peak = peak_conns.load(Ordering::Relaxed);
-    let offered: u64 = agg.admitted.iter().sum::<u64>() + agg.rejected.iter().sum::<u64>();
-    let shed = stats.overload_sheds.iter().sum::<u64>()
-        + stats.rejected_queue_full
-        + stats.degraded_sheds
-        + net_stats.rejected_backpressure;
-    println!(
-        "net: offered {offered} over {healthy_conns} healthy conn(s) (peak {peak} live), admitted I/B/E \
-         {}/{}/{}, rejected at admission I/B/E {}/{}/{}, {} admitted-then-failed",
-        agg.admitted[0], agg.admitted[1], agg.admitted[2], agg.rejected[0], agg.rejected[1], agg.rejected[2], agg.admitted_failed,
-    );
-    for msg in &agg.sample_failures {
-        println!("net: sample admitted failure: {msg}");
-    }
-    let attainment = if agg.admitted[0] > 0 {
-        agg.in_slo as f64 / agg.admitted[0] as f64
-    } else {
-        0.0
-    };
-    println!(
-        "net: interactive SLO {}/{} within {slo_ms}ms ({:.2}%); served I/B/E {}/{}/{}; \
-         {} slow-loris + {} idle evictions, {} malformed, {} mid-flight disconnects ({} tombstoned)",
-        agg.in_slo,
-        agg.admitted[0],
-        attainment * 100.0,
-        agg.served[0],
-        agg.served[1],
-        agg.served[2],
-        net_stats.evicted_slow_loris,
-        net_stats.evicted_idle,
-        net_stats.rejected_malformed,
-        net_stats.midflight_disconnects,
-        net_stats.tombstoned_inflight,
-    );
-
-    if agg.submit_failed > 0 || agg.broken > 0 {
-        return Err(format!(
-            "{} healthy submit(s) failed and {} healthy connection(s) broke — the front-end must never \
-             damage a well-behaved tenant's connection",
-            agg.submit_failed, agg.broken
-        ));
-    }
-    if agg.unresolved > 0 {
-        return Err(format!(
-            "{} healthy request(s) never resolved — a reply was silently dropped on the wire",
-            agg.unresolved
-        ));
-    }
-    if stats.worker_exits.contains(&WorkerExit::Panicked) {
-        return Err(format!("a worker thread escaped supervision: exits {:?}", stats.worker_exits));
-    }
-    if !agg.wrong.is_empty() {
-        let ids: Vec<String> = agg.wrong.iter().take(5).map(|id| format!("request {id}")).collect();
-        return Err(format!(
-            "{} reply(s) diverged from the golden reference ({}{}) — the wire path broke bit-exactness",
-            agg.wrong.len(),
-            ids.join(", "),
-            if agg.wrong.len() > 5 { ", …" } else { "" },
-        ));
-    }
-    if net_stats.active_conns != 0 {
-        return Err(format!("{} connection(s) leaked past shutdown", net_stats.active_conns));
-    }
-    if assert_slo {
-        let required_peak = (conns as u64 * 9) / 10;
-        if peak < required_peak {
-            return Err(format!(
-                "assert-slo: peak concurrency {peak} never reached {required_peak} (90% of --conns {conns})"
-            ));
-        }
-        if net_stats.evicted_slow_loris == 0 {
-            return Err("assert-slo: no slow-loris eviction fired — the read timeout is not biting".to_string());
-        }
-        if net_stats.rejected_malformed == 0 {
-            return Err("assert-slo: no malformed frame was rejected — the hostile population is broken".to_string());
-        }
-        if net_stats.midflight_disconnects == 0 {
-            return Err("assert-slo: no mid-flight disconnect was observed — the tombstone path went untested".to_string());
-        }
-        if shed == 0 {
-            return Err(
-                "assert-slo: the drive never pushed the server into shedding — raise --overload-factor or --seconds".to_string(),
-            );
-        }
-        if agg.admitted[0] < 50 {
-            return Err(format!(
-                "assert-slo: only {} Interactive request(s) admitted — too few for a meaningful 99% \
-                 assertion; raise --seconds",
-                agg.admitted[0]
-            ));
-        }
-        if attainment < 0.99 {
-            return Err(format!(
-                "assert-slo: only {:.2}% of admitted Interactive requests met the {slo_ms}ms SLO (need 99%)",
-                attainment * 100.0
-            ));
-        }
-    }
-    println!(
-        "chaos-bench --net PASS: {offered} offered at {factor:.1}x wire capacity over peak {peak} \
-         connection(s), 0 hung, 0 wrong, 0 broken healthy conns; interactive SLO attainment {:.2}%",
-        attainment * 100.0
-    );
-    Ok(())
-}
-
-/// One keyed request's full plan: the wire endpoint, the deterministic
-/// input, and the golden host output every delivery must match bit-exactly
-/// no matter which life executes it or which life redelivers it.
-struct KeyPlan {
-    endpoint: u32,
-    input: Tensor,
-    golden: Tensor,
-}
-
-/// The client idempotency key for global key index `k` (never zero —
-/// zero means "no key" on the wire).
-fn idem_of(k: usize) -> u64 {
-    0xD00D_0000_0000_0000 | (k as u64 + 1)
-}
-
-/// One driver's state, carried across server lives: its client (and with
-/// it the resume set), which keys it owns, and the audit trail.
-struct CrashDriver {
-    client: Option<NetClient>,
-    keys: Vec<usize>,
-    /// Keys confirmed bit-exact against their golden at least once.
-    confirmed: HashSet<usize>,
-    /// Requests submitted but unreplied when their life ended, polled
-    /// again after the next reconnect: (tag, key index).
-    outstanding: Vec<(u64, usize)>,
-    /// Deliveries for already-confirmed keys (redeliveries and shared
-    /// in-flight outcomes), all of which also matched the golden.
-    reconfirmed: u64,
-    /// Keys whose delivered reply diverged from the golden.
-    wrong: Vec<usize>,
-}
-
-/// Audit one delivered reply against its key's plan. A typed serve error
-/// (shedding, draining) leaves the key unconfirmed for a later retry; a
-/// successful reply must match the golden bit-exactly whether it is the
-/// first delivery or a redelivery.
-fn settle_key(
-    confirmed: &mut HashSet<usize>,
-    reconfirmed: &mut u64,
-    wrong: &mut Vec<usize>,
-    k: usize,
-    reply: &WireReply,
-    plans: &[KeyPlan],
-) {
-    let Ok(resp) = &reply.result else { return };
-    match resp.tensor() {
-        Some(out) if out == plans[k].golden => {
-            if !confirmed.insert(k) {
-                *reconfirmed += 1;
-            }
-        }
-        _ => wrong.push(k),
-    }
-}
-
-/// One driver's participation in one server life: (re)connect, drain the
-/// previous life's unreplied tags, then cycle over its keys closed-loop.
-/// In a crash life (`keep_retrying`) the pass repeats — confirmed keys
-/// turn into redelivery retries — until the kill severs the connection;
-/// in the final life it repeats until every key is confirmed. Returns the
-/// number of requests the reconnect resumed.
-fn drive_life(d: &mut CrashDriver, addr: SocketAddr, plans: &[KeyPlan], wait: Duration, keep_retrying: bool) -> u64 {
-    let resumed = match &mut d.client {
-        slot @ None => match NetClient::connect(addr, b"") {
-            Ok(c) => {
-                *slot = Some(c);
-                0
-            }
-            Err(_) => return 0, // this life is already gone; the next retries
-        },
-        Some(c) => match c.reconnect(addr) {
-            Ok(n) => n as u64,
-            Err(_) => return 0,
-        },
-    };
-    let client = d.client.as_mut().expect("connected above");
-    // Drain the resume set first: replies for re-sent tags settle their
-    // keys before any new traffic goes out.
-    let pend: Vec<(u64, usize)> = std::mem::take(&mut d.outstanding);
-    for (i, &(tag, k)) in pend.iter().enumerate() {
-        match client.recv_tag(tag, wait) {
-            Ok(reply) => settle_key(&mut d.confirmed, &mut d.reconfirmed, &mut d.wrong, k, &reply, plans),
-            Err(ClientError::Timeout) => d.outstanding.push((tag, k)),
-            Err(_) => {
-                d.outstanding.extend(pend[i..].iter().copied());
-                return resumed;
-            }
-        }
-    }
-    let mut rounds = 0usize;
-    loop {
-        // Pipelined, not closed-loop: the whole round goes out before any
-        // reply is read, so the admission queue is deep when the kill
-        // lands and recovery has admitted-unacked work to replay.
-        let mut batch: Vec<(u64, usize)> = Vec::new();
-        for &k in &d.keys {
-            if !keep_retrying && d.confirmed.contains(&k) {
-                continue;
-            }
-            let p = &plans[k];
-            match client.submit_idem(p.endpoint, &p.input, Priority::Interactive, None, idem_of(k)) {
-                Ok(tag) => batch.push((tag, k)),
-                Err(_) => {
-                    // The kill landed mid-burst; everything already sent
-                    // is owed a reply and resumes next life.
-                    d.outstanding.extend(batch);
-                    return resumed;
-                }
-            }
-        }
-        for (i, &(tag, k)) in batch.iter().enumerate() {
-            match client.recv_tag(tag, wait) {
-                Ok(reply) => settle_key(&mut d.confirmed, &mut d.reconfirmed, &mut d.wrong, k, &reply, plans),
-                Err(ClientError::Timeout) => d.outstanding.push((tag, k)),
-                Err(_) => {
-                    d.outstanding.extend(batch[i..].iter().copied());
-                    return resumed;
-                }
-            }
-        }
-        rounds += 1;
-        if keep_retrying {
-            // Only the kill ends a crash life; the round bound is a
-            // backstop against a controller that never fires, and the
-            // pause keeps an all-redelivery round from hot-spinning.
-            if rounds > 10_000 {
-                return resumed;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        if d.keys.iter().all(|k| d.confirmed.contains(k)) || rounds > 50 {
-            return resumed;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// The crash-durability soak (`--crash`): exactly-once keyed serving
-/// across `--lives` hard kills of the journaled core, audited bit-exactly.
-#[allow(clippy::too_many_lines)]
-fn run_crash(flags: &Flags) -> Result<(), String> {
-    let spec = flags.machine()?;
-    let workers: usize = parse_or(flags, "workers", 2)?;
-    let drivers: usize = parse_or(flags, "drivers", 4)?;
-    let keys_per_driver: usize = parse_or(flags, "keys-per-driver", 16)?;
-    let lives: usize = parse_or(flags, "lives", 3)?;
-    let max_batch: usize = parse_or(flags, "max-batch", 4)?;
-    let linger_us: u64 = parse_or(flags, "linger-us", 500)?;
-    let alpha: f64 = parse_or(flags, "alpha", 0.25)?;
-    let res: usize = parse_or(flags, "res", 32)?;
-    let wait_ms: u64 = parse_or(flags, "wait-ms", 250)?;
-    let crash_seed: u64 = parse_or(flags, "crash-seed", 0xC8A5_4EED)?;
-    let recovery_bound_ms: u64 = parse_or(flags, "recovery-bound-ms", 5_000)?;
-    let assert_durability = flags.has("assert-durability");
-    let tier = flags.tier()?;
-    let which = flags.get("model").unwrap_or("v1");
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-    if workers == 0 || drivers == 0 || keys_per_driver == 0 || lives == 0 {
-        return Err("--crash needs nonzero --workers, --drivers, --keys-per-driver and --lives".to_string());
-    }
-
-    let model_tables = build_models(which, alpha, res)?;
-    quiet_worker_panics();
-    let config = ServeConfig::for_spec(&spec)
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_linger(Duration::from_micros(linger_us))
-        .with_backend_tier(tier);
-    let wait = Duration::from_millis(wait_ms);
-    let total_keys = drivers * keys_per_driver;
-
-    // Phase 0 — journal-off control: the same keyed wire traffic against a
-    // plain server must execute every retry (keys are inert without a
-    // journal), reply bit-exact, and move no journal counter.
-    println!("chaos-bench --crash [{tier}]: phase 0 — journal-off control (inertness + parity)");
-    {
-        let server = Arc::new(Server::start(config));
-        let (endpoints, goldens) = register_endpoints(&server, &model_tables)?;
-        let net = NetServer::start(Arc::clone(&server), NetConfig::default()).map_err(|e| format!("control bind: {e}"))?;
-        let mut client = NetClient::connect(net.local_addr(), b"").map_err(|e| format!("control connect: {e}"))?;
-        let probes = endpoints.len().min(4);
-        for k in 0..probes {
-            let input = input_for(&server, endpoints[k], 0xC0_0000 + k as u64);
-            let (layer, w) = &goldens[k];
-            let golden = reference::run_layer(layer, &input, w).map_err(|e| format!("control golden: {e}"))?;
-            for attempt in 0..2 {
-                let tag = client
-                    .submit_idem(
-                        endpoints[k].index() as u32,
-                        &input,
-                        Priority::Interactive,
-                        None,
-                        0xCAFE + k as u64,
-                    )
-                    .map_err(|e| format!("control submit: {e}"))?;
-                let reply = client
-                    .recv_tag(tag, Duration::from_secs(60))
-                    .map_err(|e| format!("control recv: {e}"))?;
-                let out = reply
-                    .result
-                    .map_err(|(c, m)| format!("control reply failed (code {c}): {m}"))?
-                    .tensor()
-                    .ok_or("control reply shape/word mismatch")?;
-                if out != golden {
-                    return Err(format!("control: keyed probe {k} attempt {attempt} diverged from the golden"));
-                }
-            }
-        }
-        let _ = net.shutdown();
-        let server = Arc::try_unwrap(server).unwrap_or_else(|_| panic!("front-end still holds the server"));
-        let snap = server.shutdown();
-        if snap.journal_appends != 0 || snap.journal_replayed != 0 || snap.dedup_hits != 0 || snap.duplicate_executions != 0 {
-            return Err(format!(
-                "control: journal counters moved on a journal-less server ({} appends, {} replayed, {} dedup, {} dups)",
-                snap.journal_appends, snap.journal_replayed, snap.dedup_hits, snap.duplicate_executions
-            ));
-        }
-        if snap.completed != probes as u64 * 2 {
-            return Err(format!(
-                "control: expected {} executions (every keyed retry runs without a journal), got {}",
-                probes * 2,
-                snap.completed
-            ));
-        }
-        println!("  control: {probes} keyed probe(s) executed twice each, bit-exact, journal counters untouched");
-    }
-
-    // Phase 1 — crash cycles: `lives` hard kills over one journal file,
-    // then a clean life that must finish every key.
-    let jpath = match flags.get("journal") {
-        Some(p) => PathBuf::from(p),
-        None => std::env::temp_dir().join(format!("npcgra-crash-{}.journal", std::process::id())),
-    };
-    let _ = std::fs::remove_file(&jpath);
-    println!(
-        "chaos-bench --crash [{tier}]: phase 1 — {lives} hard kill(s) + 1 clean life, {drivers} driver(s) x \
-         {keys_per_driver} key(s), {workers} worker shard(s), seed {crash_seed:#x}, journal {}",
-        jpath.display()
-    );
-
-    let mut states: Vec<CrashDriver> = (0..drivers)
-        .map(|d| CrashDriver {
-            client: None,
-            keys: (0..total_keys).filter(|k| k % drivers == d).collect(),
-            confirmed: HashSet::new(),
-            outstanding: Vec::new(),
-            reconfirmed: 0,
-            wrong: Vec::new(),
-        })
-        .collect();
-    let mut plans: Vec<KeyPlan> = Vec::new();
-    let mut total_replayed = 0u64;
-    let mut total_dedup = 0u64;
-    let mut total_dups = 0u64;
-    let mut total_completed = 0u64;
-    let mut resumed_total = 0u64;
-    let mut slowest_recovery = Duration::ZERO;
-    let mut probe_ok: Option<bool> = None;
-
-    for life in 0..=lives {
-        let crash_this_life = life < lives;
-        // The first kill lands on a *stalled* core (zero workers): every
-        // admit is fsync-durable but nothing can complete, so that crash
-        // is guaranteed — on any tier, at any speed — to leave
-        // admitted-unacked work for recovery to replay. Later kills run
-        // real workers and land wherever the seed puts them.
-        let stalled = crash_this_life && life == 0;
-        let life_config = if stalled { config.with_workers(0) } else { config };
-        let (server, report) = Server::start_with_journal(life_config, JournalConfig::new(&jpath).with_fsync_every(1))
-            .map_err(|e| format!("life {life}: start: {e}"))?;
-        if life == 0 && report.records != 0 {
-            return Err(format!("life 0: fresh journal already held {} record(s)", report.records));
-        }
-        if report.elapsed > Duration::from_millis(recovery_bound_ms) {
-            return Err(format!(
-                "life {life}: recovery took {:.1}ms, over the {recovery_bound_ms}ms bound",
-                report.elapsed.as_secs_f64() * 1e3
-            ));
-        }
-        slowest_recovery = slowest_recovery.max(report.elapsed);
-        let (_endpoints, goldens) = register_endpoints(&server, &model_tables)?;
-        let replayed = server.replay_recovered().map_err(|e| format!("life {life}: replay: {e}"))?;
-        if replayed != report.replayed {
-            return Err(format!(
-                "life {life}: recovery stashed {} admit(s) but {replayed} replayed",
-                report.replayed
-            ));
-        }
-        total_replayed += replayed as u64;
-        if life > 0 {
-            println!(
-                "  life {life}: recovered {} journal record(s) in {:.1}ms, replayed {replayed} admitted-unacked",
-                report.records,
-                report.elapsed.as_secs_f64() * 1e3,
-            );
-        }
-        if plans.is_empty() {
-            // Built once from the first registration; every life registers
-            // the same layers in the same order, so endpoints are stable.
-            for k in 0..total_keys {
-                let (layer, w) = &goldens[k % goldens.len()];
-                let input = Tensor::random(layer.in_channels(), layer.in_h(), layer.in_w(), 0x1D_0000 + k as u64);
-                let golden = reference::run_layer(layer, &input, w).map_err(|e| format!("golden for key {k}: {e}"))?;
-                plans.push(KeyPlan {
-                    endpoint: (k % goldens.len()) as u32,
-                    input,
-                    golden,
-                });
-            }
-        }
-        let confirmed_before: usize = states.iter().map(|d| d.confirmed.len()).sum();
-        let remaining = total_keys - confirmed_before;
-        let server = Arc::new(server);
-        // Zero drain: the kill must be a guillotine. A graceful drain
-        // would let the workers execute-and-ack the whole backlog before
-        // the core is crashed, leaving recovery nothing to prove.
-        let net = NetServer::start(Arc::clone(&server), NetConfig::default().with_drain_timeout(Duration::ZERO))
-            .map_err(|e| format!("life {life}: bind: {e}"))?;
-        let addr = net.local_addr();
-        let mut net_slot = Some(net);
-        let mut resumed_this_life = 0u64;
-        let plans_ref = &plans;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = states
-                .iter_mut()
-                .map(|d| scope.spawn(move || drive_life(d, addr, plans_ref, wait, crash_this_life)))
-                .collect();
-            if crash_this_life {
-                // Kill once this life has made progress — admissions on
-                // the stalled life (nothing can complete there),
-                // executions on the rest — plus a seeded dwell so the cut
-                // lands at varied points mid-flight.
-                let goal = if stalled {
-                    (total_keys / 2).max(1) as u64
-                } else {
-                    (remaining / 3).max(1) as u64
-                };
-                let patience = Instant::now() + Duration::from_secs(20);
-                while Instant::now() < patience {
-                    let s = server.stats();
-                    // Dedup redeliveries count as progress: a life whose
-                    // journal already acked every key executes nothing, and
-                    // waiting for completions that can never come would
-                    // burn the whole patience window.
-                    let progress = if stalled { s.submitted } else { s.completed + s.dedup_hits };
-                    if progress >= goal {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                std::thread::sleep(Duration::from_millis(splitmix64(crash_seed ^ life as u64) % 30));
-                if let Some(n) = net_slot.take() {
-                    let _ = n.shutdown();
-                }
-            }
-            resumed_this_life = handles.into_iter().map(|h| h.join().expect("driver thread")).sum();
-            if !crash_this_life {
-                // Post-completion retry: a fresh client re-submits a
-                // finished key; the reply must come back bit-exact from the
-                // dedup table, not from a fresh execution.
-                let before = server.stats().dedup_hits;
-                probe_ok = Some(match NetClient::connect(addr, b"") {
-                    Ok(mut probe) => {
-                        let p = &plans_ref[0];
-                        let delivered = probe
-                            .submit_idem(p.endpoint, &p.input, Priority::Interactive, None, idem_of(0))
-                            .ok()
-                            .and_then(|tag| probe.recv_tag(tag, Duration::from_secs(30)).ok())
-                            .and_then(|r| r.result.ok())
-                            .and_then(|resp| resp.tensor())
-                            .is_some_and(|out| out == p.golden);
-                        delivered && server.stats().dedup_hits > before
-                    }
-                    Err(_) => false,
-                });
-            }
-        });
-        resumed_total += resumed_this_life;
-        if let Some(n) = net_slot.take() {
-            let _ = n.shutdown();
-        }
-        let server = Arc::try_unwrap(server).unwrap_or_else(|_| panic!("front-end still holds the server"));
-        let snap = if crash_this_life {
-            server.hard_crash((splitmix64(crash_seed.wrapping_add(life as u64).wrapping_mul(0x9E37)) % 48) as usize)
-        } else {
-            server.shutdown()
-        };
-        total_completed += snap.completed;
-        total_dedup += snap.dedup_hits;
-        total_dups += snap.duplicate_executions;
-        if snap.worker_exits.contains(&WorkerExit::Panicked) {
-            return Err(format!("life {life}: a worker escaped supervision: {:?}", snap.worker_exits));
-        }
-        if snap.journal_errors > 0 {
-            return Err(format!("life {life}: {} journal I/O error(s)", snap.journal_errors));
-        }
-        let confirmed_now: usize = states.iter().map(|d| d.confirmed.len()).sum();
-        println!(
-            "  life {life} ({}): {} executed, {} dedup redelivery(s), {} resumed tag(s); confirmed {confirmed_now}/{total_keys}",
-            match (crash_this_life, stalled) {
-                (true, true) => "killed stalled",
-                (true, false) => "killed",
-                (false, _) => "clean",
-            },
-            snap.completed,
-            snap.dedup_hits,
-            resumed_this_life,
-        );
-    }
-    let _ = std::fs::remove_file(&jpath);
-
-    // The audit: every key confirmed bit-exact, nothing lost, nothing
-    // double-executed, every redelivery identical to the first delivery.
-    let confirmed: usize = states.iter().map(|d| d.confirmed.len()).sum();
-    let reconfirmed: u64 = states.iter().map(|d| d.reconfirmed).sum();
-    let wrong: usize = states.iter().map(|d| d.wrong.len()).sum();
-    println!(
-        "crash audit: {confirmed}/{total_keys} keys confirmed, {reconfirmed} redelivery(s) re-matched, {wrong} wrong; \
-         {total_completed} execution(s), {total_dedup} dedup hit(s), {total_dups} duplicate execution(s), \
-         {total_replayed} replayed, {resumed_total} resumed, slowest recovery {:.1}ms",
-        slowest_recovery.as_secs_f64() * 1e3
-    );
-    if wrong > 0 {
-        let ids: Vec<String> = states
-            .iter()
-            .flat_map(|d| d.wrong.iter().take(3).map(|k| format!("key {k}")))
-            .take(5)
-            .collect();
-        return Err(format!(
-            "{wrong} delivered reply(s) diverged from the golden reference ({}) — durability without \
-             bit-exactness is corruption",
-            ids.join(", ")
-        ));
-    }
-    if confirmed != total_keys {
-        return Err(format!(
-            "{} admitted key(s) never completed — a journaled request was lost across the crashes",
-            total_keys - confirmed
-        ));
-    }
-    if total_dups > 0 {
-        return Err(format!(
-            "{total_dups} duplicate execution(s) — a key's outcome was recorded twice (exactly-once violated)"
-        ));
-    }
-    if assert_durability {
-        if total_replayed == 0 {
-            return Err(
-                "assert-durability: no kill left admitted-unacked work to replay — the soak never \
-                 exercised recovery; raise --keys-per-driver or --lives"
-                    .to_string(),
-            );
-        }
-        if resumed_total == 0 {
-            return Err(
-                "assert-durability: no reconnect resumed an unreplied request — the session-resume path went untested"
-                    .to_string(),
-            );
-        }
-        if total_dedup == 0 {
-            return Err("assert-durability: no retry was deduplicated — the exactly-once machinery never engaged".to_string());
-        }
-        if probe_ok != Some(true) {
-            return Err("assert-durability: the post-completion retry was not redelivered from the dedup table".to_string());
-        }
-    }
-    println!(
-        "chaos-bench --crash PASS: {total_keys} keys exactly-once across {lives} hard kill(s) — 0 lost, 0 duplicate, \
-         0 wrong; {total_replayed} replayed at recovery, {total_dedup} retries deduplicated"
-    );
-    Ok(())
-}
-
-/// SplitMix64 — a tiny seeded generator for kill dwell and torn-tail
-/// sizes (private copy; the serve crate's is crate-internal).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The MobileNet tables named by `--model`.
-fn build_models(which: &str, alpha: f64, res: usize) -> Result<Vec<models::Model>, String> {
-    match which {
-        "v1" => Ok(vec![models::mobilenet_v1(alpha, res)]),
-        "v2" => Ok(vec![models::mobilenet_v2(alpha, res)]),
-        "mixed" => Ok(vec![models::mobilenet_v1(alpha, res), models::mobilenet_v2(alpha, res)]),
-        other => Err(format!("--model must be v1|v2|mixed, got '{other}'")),
-    }
-}
-
-/// Layer + weights backing one endpoint, kept aligned with the endpoint
-/// ids so an audit can recompute any reply's golden host reference.
-type Goldens = Vec<(ConvLayer, Tensor)>;
-
-/// Register every DSC layer of each table as a serving endpoint, returning
-/// the endpoint ids alongside the layer + weights needed to recompute each
-/// reply's golden host reference.
-fn register_endpoints(server: &Server, tables: &[models::Model]) -> Result<(Vec<ModelId>, Goldens), String> {
-    let mut endpoints = Vec::new();
-    let mut goldens = Vec::new();
-    for (mi, model) in tables.iter().enumerate() {
-        for layer in model.dsc_layers() {
-            let named = layer.renamed(&format!("{}.{}", model.name(), layer.name()));
-            let weights = named.random_weights(0xC0FFEE + mi as u64);
-            let id = server
-                .register(&format!("{}.{}", model.name(), layer.name()), named.clone(), weights.clone())
-                .map_err(|e| format!("registering {}: {e}", layer.name()))?;
-            endpoints.push(id);
-            goldens.push((named, weights));
-        }
-    }
-    Ok((endpoints, goldens))
-}
-
-/// The injected panic is supervised, but the default hook would still
-/// print a scary backtrace for it; keep chaos quiet on worker threads.
-fn quiet_worker_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let current = std::thread::current();
-        if current.name().is_some_and(|n| n.starts_with("npcgra-serve-")) {
-            return;
-        }
-        default_hook(info);
-    }));
-}
-
-/// A deterministic random input matching the model's IFM shape.
-fn input_for(server: &Server, id: ModelId, seed: u64) -> Tensor {
-    let shape = server.model_shape(id).expect("registered model");
-    Tensor::random(shape.0, shape.1, shape.2, seed)
-}
-
-fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{name}: bad value '{v}'")),
-    }
+        .find(|m| m.select.iter().all(given))
+        .expect("the last row selects on nothing");
+    let flags = Flags::parse(args, &format!("{} {}", mode.select.join(" "), mode.reads))?;
+    harness::quiet_worker_panics();
+    (mode.run)(&flags, &Common::parse(&flags, mode)?)
 }

@@ -4,10 +4,10 @@
 use npcgra::kernels::{ConfigImage, DwcGeneralMapping, DwcS1Mapping, PwcMapping};
 use npcgra::ConvKind;
 
-use crate::args::Flags;
+use crate::args::{Flags, LAYER_FLAGS};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &format!("machine {LAYER_FLAGS}"))?;
     let spec = flags.machine()?;
     let layer = flags.layer()?;
 

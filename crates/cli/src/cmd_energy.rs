@@ -4,10 +4,10 @@ use npcgra::area::EnergyModel;
 use npcgra::sim::estimate_layer_energy;
 use npcgra::Tensor;
 
-use crate::args::Flags;
+use crate::args::{Flags, LAYER_FLAGS};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &format!("machine mapping {LAYER_FLAGS}"))?;
     let spec = flags.machine()?;
     let layer = flags.layer()?;
     let mapping = flags.mapping()?;

@@ -3,10 +3,10 @@
 use npcgra::sim::{run_batched_dwc, run_layer, run_matmul_dwc, MappingKind};
 use npcgra::{reference, AreaModel, Tensor};
 
-use crate::args::Flags;
+use crate::args::{Flags, LAYER_FLAGS};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &format!("machine mapping {LAYER_FLAGS}"))?;
     let spec = flags.machine()?;
     let layer = flags.layer()?;
     let mapping = flags.mapping()?;

@@ -16,27 +16,25 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use npcgra::net::{NetConfig, NetServer, TenantSpec};
-use npcgra::nn::models;
-use npcgra::serve::{ServeConfig, Server};
+use npcgra::serve::{BackendTier, ServeConfig, Server};
 
 use crate::args::Flags;
+use crate::endpoints::{build_models, Endpoints};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        "machine tier workers max-batch linger-us model alpha res seconds addr tenants \
+         max-conns read-timeout-ms write-timeout-ms idle-timeout-ms backlog-limit",
+    )?;
     let spec = flags.machine()?;
-    let workers: usize = parse_or(&flags, "workers", 4)?;
-    let max_batch: usize = parse_or(&flags, "max-batch", 4)?;
-    let linger_us: u64 = parse_or(&flags, "linger-us", 500)?;
-    let alpha: f64 = parse_or(&flags, "alpha", 0.25)?;
-    let res: usize = parse_or(&flags, "res", 32)?;
-    let seconds: f64 = parse_or(&flags, "seconds", 0.0)?;
-    let max_conns: usize = parse_or(&flags, "max-conns", 0)?;
-    let read_timeout_ms: u64 = parse_or(&flags, "read-timeout-ms", 0)?;
-    let write_timeout_ms: u64 = parse_or(&flags, "write-timeout-ms", 0)?;
-    let idle_timeout_ms: u64 = parse_or(&flags, "idle-timeout-ms", 0)?;
-    let backlog_limit: usize = parse_or(&flags, "backlog-limit", 0)?;
-    let tier = flags.tier()?;
-    let which = flags.get("model").unwrap_or("v1");
+    let seconds: f64 = flags.parse_or("seconds", 0.0)?;
+    let max_conns: usize = flags.parse_or("max-conns", 0)?;
+    let read_timeout_ms: u64 = flags.parse_or("read-timeout-ms", 0)?;
+    let write_timeout_ms: u64 = flags.parse_or("write-timeout-ms", 0)?;
+    let idle_timeout_ms: u64 = flags.parse_or("idle-timeout-ms", 0)?;
+    let backlog_limit: usize = flags.parse_or("backlog-limit", 0)?;
+    let tier = flags.tier(BackendTier::CycleAccurate)?;
     let addr: SocketAddr = flags
         .get("addr")
         .unwrap_or("127.0.0.1:0")
@@ -45,39 +43,19 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if !addr.ip().is_loopback() {
         return Err("--addr must be a loopback address (the wire protocol carries no transport security)".to_string());
     }
-    if res == 0 || !res.is_multiple_of(32) {
-        return Err(format!("--res must be a positive multiple of 32, got {res}"));
-    }
-
-    let mut tables = Vec::new();
-    match which {
-        "v1" => tables.push(models::mobilenet_v1(alpha, res)),
-        "v2" => tables.push(models::mobilenet_v2(alpha, res)),
-        "mixed" => {
-            tables.push(models::mobilenet_v1(alpha, res));
-            tables.push(models::mobilenet_v2(alpha, res));
-        }
-        other => return Err(format!("--model must be v1|v2|mixed, got '{other}'")),
-    }
+    let tables = build_models(
+        flags.get("model").unwrap_or("v1"),
+        flags.parse_or("alpha", 0.25)?,
+        flags.parse_or("res", 32)?,
+    )?;
 
     let config = ServeConfig::for_spec(&spec)
-        .with_workers(workers)
-        .with_max_batch(max_batch)
-        .with_max_linger(Duration::from_micros(linger_us))
+        .with_workers(flags.parse_or("workers", 4)?)
+        .with_max_batch(flags.parse_or("max-batch", 4)?)
+        .with_max_linger(Duration::from_micros(flags.parse_or("linger-us", 500)?))
         .with_backend_tier(tier);
     let server = Arc::new(Server::start(config));
-    let mut endpoints = Vec::new();
-    for model in &tables {
-        for layer in model.dsc_layers() {
-            let name = format!("{}.{}", model.name(), layer.name());
-            let named = layer.renamed(&name);
-            let weights = named.random_weights(0xC0FFEE);
-            let id = server
-                .register(&name, named, weights)
-                .map_err(|e| format!("registering {name}: {e}"))?;
-            endpoints.push((id, name));
-        }
-    }
+    let endpoints = Endpoints::register(&server, &tables)?;
 
     let mut net_config = NetConfig::default().with_addr(addr);
     if max_conns > 0 {
@@ -101,9 +79,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let net = NetServer::start(Arc::clone(&server), net_config).map_err(|e| format!("binding {addr}: {e}"))?;
     println!("serve-net [{tier}]: listening on {}", net.local_addr());
-    for (id, name) in &endpoints {
-        let (c, h, w) = server.model_shape(*id).expect("registered model");
-        println!("  model {:>3}  {name}  input {c}x{h}x{w}", id.index());
+    for (id, (layer, _)) in endpoints.ids.iter().zip(&endpoints.layers) {
+        let (c, h, w) = (layer.in_channels(), layer.in_h(), layer.in_w());
+        println!("  model {:>3}  {}  input {c}x{h}x{w}", id.index(), layer.name());
     }
     if seconds > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(seconds));
@@ -153,13 +131,6 @@ fn parse_tenants(arg: &str) -> Result<Vec<TenantSpec>, String> {
         specs.push(spec);
     }
     Ok(specs)
-}
-
-fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{name}: bad value '{v}'")),
-    }
 }
 
 #[cfg(test)]

@@ -7,34 +7,15 @@ use npcgra::{AreaModel, ConvKind, LayerReport, Model, NpCgra};
 use crate::args::Flags;
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "machine model alpha res batched")?;
     let spec = flags.machine()?;
     let machine = NpCgra::new(spec);
     let batched = flags.has("batched");
 
     let model: Model = match flags.require("model")? {
-        "v1" => {
-            let alpha: f64 = flags
-                .get("alpha")
-                .unwrap_or("0.5")
-                .parse()
-                .map_err(|_| "--alpha: bad number")?;
-            let res: usize = flags.get("res").unwrap_or("128").parse().map_err(|_| "--res: bad number")?;
-            models::mobilenet_v1(alpha, res)
-        }
-        "v2" => {
-            let alpha: f64 = flags
-                .get("alpha")
-                .unwrap_or("1.0")
-                .parse()
-                .map_err(|_| "--alpha: bad number")?;
-            let res: usize = flags.get("res").unwrap_or("224").parse().map_err(|_| "--res: bad number")?;
-            models::mobilenet_v2(alpha, res)
-        }
-        "v3" => {
-            let res: usize = flags.get("res").unwrap_or("224").parse().map_err(|_| "--res: bad number")?;
-            models::mobilenet_v3_small(res)
-        }
+        "v1" => models::mobilenet_v1(flags.parse_or("alpha", 0.5)?, flags.parse_or("res", 128)?),
+        "v2" => models::mobilenet_v2(flags.parse_or("alpha", 1.0)?, flags.parse_or("res", 224)?),
+        "v3" => models::mobilenet_v3_small(flags.parse_or("res", 224)?),
         "alexnet" => models::alexnet(),
         other => return Err(format!("--model must be v1|v2|v3|alexnet, got '{other}'")),
     };

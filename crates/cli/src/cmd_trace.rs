@@ -5,17 +5,13 @@ use npcgra::kernels::dwc_s1::DwcS1LayerMap;
 use npcgra::kernels::pwc::PwcLayerMap;
 use npcgra::{ConvKind, Machine, Tensor};
 
-use crate::args::Flags;
+use crate::args::{Flags, LAYER_FLAGS};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &format!("machine cycles {LAYER_FLAGS}"))?;
     let spec = flags.machine()?;
     let layer = flags.layer()?;
-    let max_cycles: usize = flags
-        .get("cycles")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| "--cycles: bad number")?;
+    let max_cycles: usize = flags.parse_or("cycles", 64)?;
 
     let ifm = Tensor::random(layer.in_channels(), layer.in_h(), layer.in_w(), 1);
     let weights = layer.random_weights(2);

@@ -6,13 +6,13 @@
 //! npcgra trace      --kind dw --channels 2 --size 8x8 [--machine 2x2] [--cycles 40]
 //! npcgra energy     --kind dw --channels 8 --size 24x24 [--mapping auto|matmul|batched]
 //! npcgra disasm     --kind dw --channels 1 --size 8x8 [--machine 2x2] [--relu]
-//! npcgra serve-bench [--workers 4] [--clients 8] [--requests 160] [--max-batch 4] [--model v1|v2|mixed] [--net] [--journal]
 //! npcgra chaos-bench [--workers 4] [--clients 8] [--seconds 5] [--fault-rate 1e-4] [--panic-worker 0] [--assert-detection]
-//! npcgra chaos-bench --gray [--gray-rate 0.02] [--watchdog-slack 4] [--cycle-budget 8] [--assert-liveness]
+//! npcgra chaos-bench --gray [--gray-rate 2e-5] [--assert-liveness]
 //! npcgra chaos-bench --overload [--overload-factor 2] [--slo-ms 250] [--assert-slo]
-//! npcgra chaos-bench --pipeline [--stages 4] [--spares 1] [--checkpoint-every 1] [--assert-liveness]
-//! npcgra chaos-bench --net [--conns 560] [--healthy-conns 64] [--hostile 8] [--assert-slo]
-//! npcgra chaos-bench --crash [--lives 3] [--keys-per-driver 16] [--assert-durability]
+//! npcgra chaos-bench --pipeline [--stages 4] [--spares 1] [--checkpoint-every 1] [--requests 24] [--assert-liveness]
+//! npcgra chaos-bench --pipeline --overload [--assert-slo]
+//! npcgra chaos-bench --net [--seconds 4] [--slo-ms 250] [--assert-slo]
+//! npcgra chaos-bench --crash [--crash-seed N] [--assert-durability]
 //! npcgra serve-net   [--addr 127.0.0.1:0] [--model v1|v2|mixed] [--tenants name:token:rate:burst:quota,...] [--seconds 0]
 //! ```
 
@@ -21,10 +21,10 @@ mod cmd_chaos_bench;
 mod cmd_disasm;
 mod cmd_energy;
 mod cmd_run_layer;
-mod cmd_serve_bench;
 mod cmd_serve_net;
 mod cmd_time_model;
 mod cmd_trace;
+mod endpoints;
 
 use std::process::ExitCode;
 
@@ -40,7 +40,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace::run(rest),
         "energy" => cmd_energy::run(rest),
         "disasm" => cmd_disasm::run(rest),
-        "serve-bench" => cmd_serve_bench::run(rest),
         "serve-net" => cmd_serve_net::run(rest),
         "chaos-bench" => cmd_chaos_bench::run(rest),
         "help" | "--help" | "-h" => {
@@ -68,85 +67,64 @@ commands:
   trace       dump a cycle-by-cycle execution trace of one block
   energy      first-order energy estimate of one layer
   disasm      disassemble a mapping's configuration memory (Fig. 3 view)
-  serve-bench closed-loop load test of the batching inference server
   serve-net   run the socket front-end as a standalone loopback server
               (DESIGN §17 wire protocol; --tenants arms auth/rate/quota,
               --seconds bounds the run, 0 = serve until killed)
-  chaos-bench fault-injection soak: panics, poison and hardware bit flips
-              must all be survived (nonzero exit otherwise); with
-              --assert-detection, silently corrupted outputs must also be
-              caught by the ABFT checksums and healed by retry; with
-              --gray, temporal faults (wedges, stalls, slowdowns) are
-              injected instead and the batch watchdog + cycle budgets must
-              preempt every stuck run (--assert-liveness fails the run
-              unless all tickets resolve bit-exact, something was
-              preempted, and the preempted shard recovered); with
-              --overload, the server is instead driven open-loop past its
-              calibrated capacity with mixed priorities (--assert-slo
-              fails the run unless admitted Interactive traffic holds its
-              latency SLO with no lost and no wrong replies); with
-              --pipeline, the whole MobileNetV1 DSC chain is served as a
-              stage pipeline while one stage is killed, one wedged and one
-              handoff corrupted (--assert-liveness fails the run unless
-              every inference completes bit-exact, healing replays only
-              from the last checkpoint, and the kill and wedge each fail
-              over to a stage spare); with --net, the server is fronted by
-              the loopback socket reactor and driven at 2x its calibrated
-              wire capacity over hundreds of connections while slow-loris,
-              malformed-frame and mid-flight-disconnect populations attack
-              it — a zero-chaos control phase first proves wire replies
-              are bit-exact with in-process submits (--assert-slo fails
-              the run unless every healthy request resolves bit-exact
-              within the SLO, every attacker class was caught, and no
-              connection leaks); with --crash, keyed traffic is driven
-              through the socket front-end while the journaled serving
-              core is hard-killed across several process lives — clients
-              reconnect and resume unacknowledged keys, recovery replays
-              the admission journal, and a journal-off control phase
-              first proves the journal is inert when disabled
-              (--assert-durability fails the run unless every key lands
-              bit-exact exactly once, replay and resume both fired,
-              recovery stays under --recovery-bound-ms, and a dedup
-              probe redelivers a remembered reply without re-executing)
+  chaos-bench soak gates of the serving stack; nonzero exit unless every
+              ticket resolves, every audited reply is bit-exact against the
+              golden reference and no worker escapes supervision. Modes
+              (each --assert-* flag turns the mode's claims into gates):
+                (none)      worker panic + seeded bit flips, closed loop
+                --gray      seeded wedges/stalls/slowdowns vs the watchdog
+                --overload  open loop at a multiple of calibrated capacity,
+                            mixed priorities, Interactive SLO
+                --pipeline  whole MobileNetV1 chain as a stage pipeline: a
+                            stage kill, a wedge and a corrupted handoff
+                --pipeline --overload
+                            a faulted pipeline under open-loop overload
+                --net       --overload through the socket front-end beside
+                            slow-loris/malformed/disconnect attackers
+                --crash     keyed traffic across hard kills of the
+                            journaled core, exactly-once
+              (numbers come from npbench; chaos-bench only gates)
 
-common flags:
+Every command fails on a flag it does not read.
+
+flags:
   --machine RxC       array size (default 8x8, the Table 4 machine)
-  --kind dw|pw        layer kind for run-layer/trace/energy
+  --kind dw|pw        layer kind for run-layer/trace/energy/disasm
   --channels N        channels (dw) or in,out channels (pw: --channels 32,64)
   --size HxW          feature-map size
   --stride S          stride (dw only, default 1)
   --relu / --leaky N  fused activation
   --mapping auto|matmul|batched
-  --model v1|v2|alexnet, --alpha A, --res R (time-model)
+                      run-layer, energy
+  --model v1|v2|v3|alexnet, --alpha A, --res R
+                      time-model
   --batched           use §5.4 channel batching where it helps (time-model)
   --cycles N          max trace lines (trace)
-  --workers N, --clients N, --requests N, --max-batch N, --linger-us N,
-  --deadline-ms N     serve-bench load-generator knobs
-  --net, --net-conns N
-                      serve-bench: also measure wire-path throughput over
-                      N loopback connections (appends a \"net\" record)
-  --journal           serve-bench: also measure admission-journal cost
-                      (journal off vs batched vs per-record fsync) and
-                      crash-recovery replay time (appends a \"journal\"
-                      record)
-  --seconds S, --fault-rate P, --fault-seed N, --panic-worker W,
-  --wait-ms N         chaos-bench fault-injection knobs
-  --assert-detection, --canary-every N
-                      chaos-bench ABFT-integrity audit knobs
-  --gray, --gray-rate P, --stall-cycles N, --slowdown-factor F,
-  --watchdog-slack S, --cycle-budget B, --assert-liveness
-                      chaos-bench gray-failure liveness soak knobs
-  --overload, --overload-factor F, --calib-seconds S, --slo-ms N,
-  --delay-target-us N, --hedge-quantile Q, --assert-slo
-                      chaos-bench overload-control soak knobs
-  --pipeline, --stages N, --spares N, --checkpoint-every N
-                      chaos-bench whole-model pipeline failover soak knobs
-  --net, --conns N, --healthy-conns N, --hostile N, --drivers N,
-  --chaos-seed N      chaos-bench socket front-end soak knobs
-  --crash, --lives N, --keys-per-driver N, --crash-seed N, --journal P,
-  --recovery-bound-ms N, --assert-durability
-                      chaos-bench crash-durability soak knobs
-  --addr A, --tenants LIST, --max-conns N, --read-timeout-ms N,
-  --write-timeout-ms N, --idle-timeout-ms N, --backlog-limit N,
-  --seconds S         serve-net front-end knobs
+  --tier cycle-accurate|fast
+                      execution backend (serve-net, chaos-bench)
+  --workers N, --clients N, --seconds S
+                      chaos-bench shards, load threads and soak window
+  --fault-rate P, --panic-worker W, --assert-detection
+                      chaos-bench fault soak
+  --gray, --gray-rate P, --assert-liveness
+                      chaos-bench gray-failure soak
+  --overload, --overload-factor F, --slo-ms N, --assert-slo
+                      chaos-bench open-loop soaks (--overload, --net,
+                      --pipeline --overload)
+  --pipeline, --stages N, --spares N, --checkpoint-every N, --requests N
+                      chaos-bench whole-model pipeline soaks
+  --net, --crash, --assert-durability
+                      chaos-bench socket front-end and crash soaks
+  --fault-seed N, --chaos-seed N, --crash-seed N
+                      chaos-bench: the deterministic fault plan (fault/gray,
+                      --net, --crash) — pass the seed of a failed soak to
+                      re-run it
+  --addr A, --model v1|v2|mixed, --alpha A, --res R, --workers N,
+  --max-batch N, --linger-us N, --tenants LIST, --max-conns N,
+  --read-timeout-ms N, --write-timeout-ms N, --idle-timeout-ms N,
+  --backlog-limit N, --seconds S
+                      serve-net
 ";

@@ -9,7 +9,7 @@
 //! default path writes no file and counts nothing).
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use npcgra_arch::CgraSpec;
 use npcgra_nn::{reference, ConvLayer, Tensor};
@@ -225,6 +225,18 @@ fn concurrent_duplicate_parks_on_the_owner_and_shares_its_reply() {
         .submit_idem(id, ifm.clone(), None, Priority::Interactive, 0xCAFE)
         .unwrap();
     assert_eq!(t1.wait().unwrap().output, golden);
+    // The reply is delivered before its Ack is journaled (settlement must
+    // first learn whether the delivery lost a hedge race), so the key's
+    // reservation can outlive `wait()`: a retry sent now may park on it and
+    // share the owner's reply instead of being redelivered. The append
+    // count is stored under the journal lock before the reservation is
+    // released and the retry needs that lock, so admit + ack = 2 appends
+    // means the retry can only find the dedup entry.
+    let acked = Instant::now() + Duration::from_secs(10);
+    while server.stats().journal_appends < 2 {
+        assert!(Instant::now() < acked, "the ack was never journaled");
+        std::thread::sleep(Duration::from_micros(200));
+    }
     let t2 = server.submit_idem(id, ifm, None, Priority::Interactive, 0xCAFE).unwrap();
     let r2 = t2.wait().unwrap();
     assert_eq!(r2.output, golden, "dedup redelivery diverged");
