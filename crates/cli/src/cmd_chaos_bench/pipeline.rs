@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use npcgra::nn::{models, reference, ConvLayer, Tensor};
-use npcgra::serve::{Pipeline, PipelineConfig, PipelineStatsSnapshot, Priority, ServeConfig, StageFault};
+use npcgra::serve::{OverloadConfig, Pipeline, PipelineStatsSnapshot, Priority, ServeConfig, StageFault};
 use npcgra::sim::CompiledModel;
 
 use super::harness::{self, Common, Tally, ALPHA, DELAY_TARGET, HANG_CAP, RES};
@@ -252,15 +252,15 @@ pub fn run_pipeline_overload(flags: &Flags, common: &Common) -> Result<(), Strin
     }
     let chain = Chain::compile(flags, common)?;
     let stages = chain.model.num_stages();
-    let armed = PipelineConfig {
-        delay_target: Some(DELAY_TARGET),
-        delay_window: DELAY_WINDOW,
-        watchdog_slack: WATCHDOG_SLACK,
-        stage_inflight_cap: STAGE_INFLIGHT_CAP,
-        ..PipelineConfig::default()
-    };
     let plain = chain.config(flags, common, 1)?.with_queue_capacity(1024);
-    let base = plain.with_pipeline(armed);
+    let mut base = plain
+        .with_overload(OverloadConfig {
+            delay_target: Some(DELAY_TARGET),
+            delay_window: DELAY_WINDOW,
+            ..plain.overload
+        })
+        .with_watchdog_slack(WATCHDOG_SLACK);
+    base.stage_inflight_cap = STAGE_INFLIGHT_CAP;
     let wedge = fault((stages / 2).max(1), WEDGE_JOB);
     let kill = fault(1, KILL_JOB);
     let mut faulted = base;

@@ -28,7 +28,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
          max-conns read-timeout-ms write-timeout-ms idle-timeout-ms backlog-limit",
     )?;
     let spec = flags.machine()?;
-    let seconds: f64 = flags.parse_or("seconds", 0.0)?;
+    let window = Duration::try_from_secs_f64(flags.parse_or("seconds", 0.0)?).map_err(|e| format!("--seconds: {e}"))?;
     let max_conns: usize = flags.parse_or("max-conns", 0)?;
     let read_timeout_ms: u64 = flags.parse_or("read-timeout-ms", 0)?;
     let write_timeout_ms: u64 = flags.parse_or("write-timeout-ms", 0)?;
@@ -83,14 +83,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let (c, h, w) = (layer.in_channels(), layer.in_h(), layer.in_w());
         println!("  model {:>3}  {}  input {c}x{h}x{w}", id.index(), layer.name());
     }
-    if seconds > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(seconds));
-    } else {
+    if window.is_zero() {
         println!("serve-net: serving until killed (pass --seconds N for a bounded run)");
         loop {
             std::thread::sleep(Duration::from_secs(3600));
         }
     }
+    std::thread::sleep(window);
 
     let net_stats = net.shutdown();
     println!("{net_stats}");

@@ -53,6 +53,14 @@ fn chaos_bench_refuses_an_overload_factor_out_of_range() {
 }
 
 #[test]
+fn serve_net_refuses_a_window_that_is_not_a_duration() {
+    // `inf` used to panic inside `Duration::from_secs_f64` after binding;
+    // `-1` used to serve forever in silence.
+    refused_with("serve-net --seconds inf", "--seconds");
+    refused_with("serve-net --seconds -1", "--seconds");
+}
+
+#[test]
 fn serve_bench_is_gone() {
     refused_with("serve-bench", "unknown command 'serve-bench'");
 }

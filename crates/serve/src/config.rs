@@ -4,9 +4,7 @@ use std::time::Duration;
 
 use npcgra_arch::CgraSpec;
 use npcgra_nn::Word;
-use npcgra_sim::{BackendTier, IntegrityMode};
-
-use crate::overload::CLASSES;
+use npcgra_sim::BackendTier;
 
 /// A one-shot, deterministic pipeline-stage fault trigger: when the named
 /// stage picks up the job with this submit ordinal, the configured failure
@@ -79,31 +77,21 @@ pub struct ChaosConfig {
     pub cross_check_corrupt: Option<CrossCheckCorruption>,
 }
 
-impl ChaosConfig {
-    /// Whether any chaos knob is active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.panic_on_first_batch.is_some()
-            || self.poison_value.is_some()
-            || (self.fault_seed.is_some() && (self.fault_rate > 0.0 || self.gray_rate > 0.0))
-            || self.stage_kill.is_some()
-            || self.stage_wedge.is_some()
-            || self.stage_corrupt.is_some()
-            || self.cross_check_corrupt.is_some()
-    }
-}
-
-/// Overload-control knobs: priority scheduling, CoDel admission, hedged
-/// execution and per-shard circuit breakers. Each knob maps to one failure
-/// mode (see the README's overload table); the defaults keep the adaptive
-/// machinery *off* except the breaker, so a config that never touches this
-/// struct serves exactly as before.
+/// Overload-control knobs: CoDel admission, hedged execution and per-shard
+/// circuit breakers. Each knob maps to one failure mode (see the README's
+/// overload table); the defaults keep the adaptive machinery *off* except
+/// the breaker, so a config that never touches this struct serves exactly
+/// as before.
+///
+/// Both lifecycles read the CoDel pair (`delay_target`, `delay_window`):
+/// a [`Server`](crate::Server) samples its admission queue, a
+/// [`Pipeline`](crate::Pipeline) its *stage-queue* residence times. The
+/// hedge and breaker fields are `Server`-only — a pipeline stage has one
+/// shard at a time, so there is nothing to hedge to or route around.
+/// Priority classes dequeue by the fixed
+/// [`CLASS_WEIGHTS`](crate::overload::CLASS_WEIGHTS) in both.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadConfig {
-    /// Weighted-fair dequeue weights per priority class
-    /// (`[interactive, batch, best-effort]`); zero weights are treated
-    /// as 1 — every class must stay schedulable (starvation-freedom).
-    pub weights: [u64; CLASSES],
     /// CoDel delay target: when the sliding-window *minimum* queue sojourn
     /// stays above this, the brownout ladder climbs one rung per window.
     /// `None` disables adaptive admission (the ladder stays at Normal).
@@ -132,7 +120,6 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            weights: [16, 4, 1],
             delay_target: None,
             delay_window: Duration::from_millis(10),
             hedge_quantile: 0.0,
@@ -146,60 +133,16 @@ impl Default for OverloadConfig {
     }
 }
 
-/// Pipeline overload/liveness knobs: deadlines, priority admission and the
-/// stage watchdog for whole-model serving ([`Pipeline`](crate::Pipeline)).
-/// Every default keeps the machinery *off*, so a config that never touches
-/// this struct serves pipelines exactly as before these knobs existed.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineConfig {
-    /// Deadline applied to pipeline jobs submitted without an explicit one
-    /// (wall time from submit to final-stage reply). `None` means such jobs
-    /// never expire.
-    pub default_deadline: Option<Duration>,
-    /// CoDel delay target over *stage-queue* sojourn times: when the
-    /// sliding-window minimum residence time stays above this, the pipeline
-    /// brownout ladder ([`BrownoutLevel`](crate::BrownoutLevel)) climbs one
-    /// rung per window. `None` disables adaptive admission (the ladder
-    /// stays at Normal).
-    pub delay_target: Option<Duration>,
-    /// The CoDel sliding window over which the minimum sojourn is tracked.
-    pub delay_window: Duration,
-    /// Weighted-fair dequeue weights per priority class on stage 0
-    /// (`[interactive, batch, best-effort]`); zero weights are treated as 1.
-    pub weights: [u64; CLASSES],
-    /// Stage-watchdog slack: a stage run is preempted (its backend's
-    /// [`CancelToken`](npcgra_sim::CancelToken) cancelled) once its wall
-    /// time exceeds `stage predicted cycles × observed ns-per-cycle ×
-    /// slack`. Arms only after the stage's ns-per-cycle estimate has
-    /// calibrated on a few healthy passes. `0.0` disables the stage
-    /// watchdog thread entirely (the default).
-    pub watchdog_slack: f64,
-    /// Per-stage in-flight cap enforced at admission while the brownout
-    /// ladder sits at [`BrownoutLevel::CapBatch`](crate::BrownoutLevel) or
-    /// above: a new job is rejected while any stage queue holds this many
-    /// jobs. `0` derives a cap from `queue_capacity / (2 × stages)`.
-    pub stage_inflight_cap: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            default_deadline: None,
-            delay_target: None,
-            delay_window: Duration::from_millis(10),
-            weights: [16, 4, 1],
-            watchdog_slack: 0.0,
-            stage_inflight_cap: 0,
-        }
-    }
-}
-
-/// Configuration for a [`Server`](crate::Server).
+/// Configuration for a [`Server`](crate::Server) or a
+/// [`Pipeline`](crate::Pipeline) — the one surface either lifecycle reads.
+/// A config value is handed to one `start` or the other, so knobs both
+/// understand (`queue_capacity`, `overload.delay_*`, `watchdog_slack`,
+/// `cycle_budget`, the restart ladder, `chaos`) exist once.
 ///
 /// The defaults describe a small deployment: four worker shards of the
 /// paper's Table 4 NP-CGRA, batches of up to four same-model requests
 /// coalesced within a two-millisecond linger window, and a bounded queue
-/// of 256 requests with no default deadline.
+/// of 256 requests.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Machine spec each worker shard simulates.
@@ -218,12 +161,6 @@ pub struct ServeConfig {
     /// How long a request may linger at the head of its queue waiting for
     /// batch-mates before a worker runs a partial batch.
     pub max_linger: Duration,
-    /// Deadline applied to requests submitted without an explicit one.
-    /// `None` means such requests never expire.
-    pub default_deadline: Option<Duration>,
-    /// Bound on distinct compiled programs kept in the shared cache; the
-    /// least-recently-used entry is evicted past it. `0` means unbounded.
-    pub cache_capacity: usize,
     /// Per-request execution-attempt cap: a request that has failed this
     /// many re-executions (batch bisections included) is quarantined.
     pub max_retries: u32,
@@ -233,30 +170,21 @@ pub struct ServeConfig {
     /// Base supervisor backoff after a caught panic; doubles per
     /// consecutive restart of the shard, capped at 64× the base.
     pub restart_backoff: Duration,
-    /// Degraded mode: when fewer than this many shards are healthy, the
-    /// admission queue bound scales down by `healthy / workers`, shedding
-    /// load early with [`ServeError::Degraded`](crate::ServeError::Degraded).
-    pub min_healthy_workers: usize,
-    /// ABFT output verification applied on every shard machine
-    /// ([`IntegrityMode::Verify`] by default: silent corruption becomes a
-    /// typed, retryable [`ServeError::Integrity`](crate::ServeError::Integrity)
-    /// instead of a wrong reply; on fault-free hardware the checks always
-    /// pass and cost O(output) host work per block).
-    pub integrity: IntegrityMode,
     /// Run a canary self-test (a small golden layer with known outputs) on
     /// each shard every this-many batches; a shard failing it twice in a
     /// row is retired as [`WorkerExit::Unhealthy`](crate::WorkerExit::Unhealthy).
     /// `0` disables the canary.
     pub canary_interval: u64,
-    /// Overload control: priority weights, CoDel admission, hedging and
+    /// Overload control: CoDel admission (both lifecycles), hedging and
     /// circuit breakers (see [`OverloadConfig`]).
     pub overload: OverloadConfig,
-    /// Batch-watchdog slack: a running batch is preempted (its shard's
-    /// [`CancelToken`](npcgra_sim::CancelToken) cancelled) once its wall
-    /// time exceeds `predicted cycles × observed ns-per-cycle × slack`.
-    /// The wall deadline only arms after the ns-per-cycle estimate has
-    /// calibrated on a few healthy batches. `0.0` disables the watchdog
-    /// thread entirely (the default).
+    /// Watchdog slack: a running batch — or, in a
+    /// [`Pipeline`](crate::Pipeline), a running stage pass — is preempted
+    /// (its shard's [`CancelToken`](npcgra_sim::CancelToken) cancelled)
+    /// once its wall time exceeds `predicted cycles × observed
+    /// ns-per-cycle × slack`. The wall deadline only arms after the
+    /// ns-per-cycle estimate has calibrated on a few healthy runs. `0.0`
+    /// disables the watchdog thread entirely (the default).
     pub watchdog_slack: f64,
     /// Deterministic liveness backstop: each simulator block run gets a
     /// cycle budget of `block compute cycles × cycle_budget`; exceeding it
@@ -264,10 +192,6 @@ pub struct ServeConfig {
     /// watchdog it needs no calibration and is immune to host scheduling
     /// noise. `0.0` disables it (the default).
     pub cycle_budget: f64,
-    /// Smoothing factor for the per-shard health EWMA (latency vs
-    /// predicted cycles, preemptions, canary/breaker state) that steers
-    /// hedge-target selection toward the healthiest shard.
-    pub health_ewma_alpha: f64,
     /// Which execution tier each worker shard runs
     /// ([`BackendTier::CycleAccurate`] by default, so untouched
     /// configurations behave exactly as before tiers existed;
@@ -280,10 +204,13 @@ pub struct ServeConfig {
     /// *any* divergence (output bits or charged cycles) quarantines the
     /// shard. `0` disables cross-checking. Ignored on the cycle tier.
     pub cross_check_interval: u64,
-    /// Whole-model pipeline serving ([`Pipeline`](crate::Pipeline)): how
-    /// many balanced stages a [`CompiledModel`](npcgra_sim::CompiledModel)
-    /// is partitioned into (each stage is its own fault domain with its own
-    /// shard). Clamped to the model's fused-unit count at compile time.
+    /// The caller's stage-count argument to
+    /// [`CompiledModel::compile`](npcgra_sim::CompiledModel::compile) (which
+    /// clamps it to the model's fused-unit count), parked here so it
+    /// travels with the rest of the deployment. Nothing in this crate reads
+    /// it: a [`Pipeline`](crate::Pipeline) serves however many stages the
+    /// compiled model it is started with has. Kept only because the
+    /// benchmark calls `with_pipeline_stages`.
     pub pipeline_stages: usize,
     /// Spare shards each pipeline stage may fail over to after exhausting
     /// its restart budget; with all spares consumed the stage goes dead and
@@ -294,10 +221,12 @@ pub struct ServeConfig {
     /// larger values trade replay distance for copy overhead. The pipeline
     /// input (boundary 0) is always checkpointed, so `0` means "input only".
     pub checkpoint_every: usize,
-    /// Pipeline overload/liveness: deadlines, priority admission, the
-    /// brownout ladder and the stage watchdog (see [`PipelineConfig`];
-    /// everything defaults off).
-    pub pipeline: PipelineConfig,
+    /// Pipeline per-stage in-flight cap enforced at admission while the
+    /// brownout ladder sits at
+    /// [`BrownoutLevel::CapBatch`](crate::BrownoutLevel) or above: a new job
+    /// is rejected while any stage queue holds this many jobs. `0` derives
+    /// a cap from `queue_capacity / (2 × stages)`.
+    pub stage_inflight_cap: usize,
     /// Deliberate failure injection (off by default).
     pub chaos: ChaosConfig,
 }
@@ -310,24 +239,19 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             max_batch: 4,
             max_linger: Duration::from_millis(2),
-            default_deadline: None,
-            cache_capacity: 512,
             max_retries: 4,
             restart_budget: 3,
             restart_backoff: Duration::from_millis(1),
-            min_healthy_workers: 1,
-            integrity: IntegrityMode::Verify,
             canary_interval: 0,
             overload: OverloadConfig::default(),
             watchdog_slack: 0.0,
             cycle_budget: 0.0,
-            health_ewma_alpha: 0.2,
             backend_tier: BackendTier::CycleAccurate,
             cross_check_interval: 32,
             pipeline_stages: 4,
             stage_spares: 1,
             checkpoint_every: 1,
-            pipeline: PipelineConfig::default(),
+            stage_inflight_cap: 0,
             chaos: ChaosConfig::default(),
         }
     }
@@ -371,20 +295,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set the default per-request deadline.
-    #[must_use]
-    pub fn with_default_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.default_deadline = deadline;
-        self
-    }
-
-    /// Set the program-cache capacity (`0` = unbounded).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// Set the per-request execution-attempt cap.
     #[must_use]
     pub fn with_max_retries(mut self, retries: u32) -> Self {
@@ -406,20 +316,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set the degraded-mode healthy-shard threshold.
-    #[must_use]
-    pub fn with_min_healthy_workers(mut self, min: usize) -> Self {
-        self.min_healthy_workers = min;
-        self
-    }
-
-    /// Set the ABFT output-verification mode.
-    #[must_use]
-    pub fn with_integrity(mut self, mode: IntegrityMode) -> Self {
-        self.integrity = mode;
-        self
-    }
-
     /// Set the canary self-test interval in batches (`0` = off).
     #[must_use]
     pub fn with_canary_interval(mut self, interval: u64) -> Self {
@@ -434,15 +330,7 @@ impl ServeConfig {
         self
     }
 
-    /// Enable CoDel adaptive admission with this delay target (convenience
-    /// over [`with_overload`](ServeConfig::with_overload)).
-    #[must_use]
-    pub fn with_delay_target(mut self, target: Option<Duration>) -> Self {
-        self.overload.delay_target = target;
-        self
-    }
-
-    /// Set the batch-watchdog wall-clock slack (`0.0` = no watchdog).
+    /// Set the batch/stage-watchdog wall-clock slack (`0.0` = no watchdog).
     #[must_use]
     pub fn with_watchdog_slack(mut self, slack: f64) -> Self {
         self.watchdog_slack = slack;
@@ -453,13 +341,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_cycle_budget(mut self, budget: f64) -> Self {
         self.cycle_budget = budget;
-        self
-    }
-
-    /// Set the shard-health EWMA smoothing factor (clamped to `(0, 1]`).
-    #[must_use]
-    pub fn with_health_ewma_alpha(mut self, alpha: f64) -> Self {
-        self.health_ewma_alpha = if alpha > 0.0 { alpha.min(1.0) } else { 0.2 };
         self
     }
 
@@ -505,35 +386,6 @@ impl ServeConfig {
         self.checkpoint_every = every;
         self
     }
-
-    /// Set all pipeline overload/liveness knobs at once.
-    #[must_use]
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Enable pipeline CoDel adaptive admission with this delay target
-    /// (convenience over [`with_pipeline`](ServeConfig::with_pipeline)).
-    #[must_use]
-    pub fn with_pipeline_delay_target(mut self, target: Option<Duration>) -> Self {
-        self.pipeline.delay_target = target;
-        self
-    }
-
-    /// Set the stage-watchdog wall-clock slack (`0.0` = no stage watchdog).
-    #[must_use]
-    pub fn with_pipeline_watchdog_slack(mut self, slack: f64) -> Self {
-        self.pipeline.watchdog_slack = slack;
-        self
-    }
-
-    /// Set the default pipeline-job deadline (`None` = jobs never expire).
-    #[must_use]
-    pub fn with_pipeline_default_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.pipeline.default_deadline = deadline;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -546,13 +398,11 @@ mod tests {
             .with_workers(2)
             .with_queue_capacity(8)
             .with_max_batch(3)
-            .with_max_linger(Duration::from_millis(5))
-            .with_default_deadline(Some(Duration::from_secs(1)));
+            .with_max_linger(Duration::from_millis(5));
         assert_eq!(c.workers, 2);
         assert_eq!(c.queue_capacity, 8);
         assert_eq!(c.max_batch, 3);
         assert_eq!(c.max_linger, Duration::from_millis(5));
-        assert_eq!(c.default_deadline, Some(Duration::from_secs(1)));
         assert_eq!(c.spec.rows, 4);
     }
 
@@ -562,39 +412,15 @@ mod tests {
     }
 
     #[test]
-    fn chaos_defaults_off() {
-        let c = ServeConfig::default();
-        assert!(!c.chaos.enabled());
-        // Rate alone (no seed) keeps injection off.
-        let chaos = ChaosConfig {
-            fault_rate: 0.5,
-            ..ChaosConfig::default()
-        };
-        assert!(!chaos.enabled());
-        let chaos = ChaosConfig {
-            fault_seed: Some(1),
-            fault_rate: 0.5,
-            ..ChaosConfig::default()
-        };
-        assert!(chaos.enabled());
-    }
-
-    #[test]
     fn fault_tolerance_builders_compose() {
         let c = ServeConfig::default()
-            .with_cache_capacity(16)
             .with_max_retries(7)
             .with_restart_budget(2)
             .with_restart_backoff(Duration::ZERO)
-            .with_min_healthy_workers(3)
-            .with_integrity(IntegrityMode::VerifyAndRecompute)
             .with_canary_interval(64);
-        assert_eq!(c.cache_capacity, 16);
         assert_eq!(c.max_retries, 7);
         assert_eq!(c.restart_budget, 2);
         assert_eq!(c.restart_backoff, Duration::ZERO);
-        assert_eq!(c.min_healthy_workers, 3);
-        assert_eq!(c.integrity, IntegrityMode::VerifyAndRecompute);
         assert_eq!(c.canary_interval, 64);
     }
 
@@ -603,36 +429,15 @@ mod tests {
         let c = ServeConfig::default();
         assert_eq!(c.watchdog_slack, 0.0, "watchdog defaults off");
         assert_eq!(c.cycle_budget, 0.0, "cycle budget defaults off");
-        assert!(c.health_ewma_alpha > 0.0 && c.health_ewma_alpha <= 1.0);
-        let c = c.with_watchdog_slack(6.0).with_cycle_budget(8.0).with_health_ewma_alpha(0.5);
+        let c = c.with_watchdog_slack(6.0).with_cycle_budget(8.0);
         assert_eq!(c.watchdog_slack, 6.0);
         assert_eq!(c.cycle_budget, 8.0);
-        assert_eq!(c.health_ewma_alpha, 0.5);
-        // A nonsense alpha falls back to the default rather than freezing
-        // or inverting the EWMA.
-        assert_eq!(ServeConfig::default().with_health_ewma_alpha(-3.0).health_ewma_alpha, 0.2);
-    }
-
-    #[test]
-    fn gray_chaos_counts_as_enabled_only_with_a_seed() {
-        let gray = ChaosConfig {
-            gray_rate: 0.1,
-            ..ChaosConfig::default()
-        };
-        assert!(!gray.enabled(), "gray rate without a seed stays off");
-        let gray = ChaosConfig {
-            fault_seed: Some(7),
-            gray_rate: 0.1,
-            ..ChaosConfig::default()
-        };
-        assert!(gray.enabled());
     }
 
     #[test]
     fn integrity_defaults_to_verify_with_no_canary() {
-        let c = ServeConfig::default();
-        assert_eq!(c.integrity, IntegrityMode::Verify);
-        assert_eq!(c.canary_interval, 0);
+        assert_eq!(crate::supervisor::SHARD_INTEGRITY, npcgra_sim::IntegrityMode::Verify);
+        assert_eq!(ServeConfig::default().canary_interval, 0);
     }
 
     #[test]
@@ -662,52 +467,17 @@ mod tests {
     }
 
     #[test]
-    fn stage_and_cross_check_chaos_count_as_enabled() {
-        let kill = ChaosConfig {
-            stage_kill: Some(StageFault { stage: 1, job: 3 }),
-            ..ChaosConfig::default()
-        };
-        assert!(kill.enabled());
-        let wedge = ChaosConfig {
-            stage_wedge: Some(StageFault { stage: 0, job: 0 }),
-            ..ChaosConfig::default()
-        };
-        assert!(wedge.enabled());
-        let corrupt = ChaosConfig {
-            stage_corrupt: Some(StageFault { stage: 2, job: 9 }),
-            ..ChaosConfig::default()
-        };
-        assert!(corrupt.enabled());
-        let cc = ChaosConfig {
-            cross_check_corrupt: Some(CrossCheckCorruption::OutputBit),
-            ..ChaosConfig::default()
-        };
-        assert!(cc.enabled());
-    }
-
-    #[test]
     fn pipeline_overload_knobs_default_off_and_compose() {
+        // A pipeline's overload knobs are the shared ones (covered above
+        // and below) plus its own in-flight cap, which has no builder.
         let c = ServeConfig::default();
-        assert_eq!(c.pipeline.default_deadline, None, "pipeline jobs never expire by default");
-        assert_eq!(c.pipeline.delay_target, None, "pipeline CoDel admission defaults off");
-        assert_eq!(c.pipeline.watchdog_slack, 0.0, "stage watchdog defaults off");
-        assert_eq!(c.pipeline.weights, [16, 4, 1]);
-        assert_eq!(c.pipeline.stage_inflight_cap, 0, "inflight cap derives from queue capacity");
-        let c = c
-            .with_pipeline_delay_target(Some(Duration::from_millis(3)))
-            .with_pipeline_watchdog_slack(6.0)
-            .with_pipeline_default_deadline(Some(Duration::from_millis(250)));
-        assert_eq!(c.pipeline.delay_target, Some(Duration::from_millis(3)));
-        assert_eq!(c.pipeline.watchdog_slack, 6.0);
-        assert_eq!(c.pipeline.default_deadline, Some(Duration::from_millis(250)));
-        let c = c.with_pipeline(PipelineConfig {
-            weights: [8, 2, 1],
+        assert_eq!(c.stage_inflight_cap, 0, "inflight cap derives from queue capacity");
+        let c = ServeConfig {
             stage_inflight_cap: 4,
-            ..c.pipeline
-        });
-        assert_eq!(c.pipeline.weights, [8, 2, 1]);
-        assert_eq!(c.pipeline.stage_inflight_cap, 4);
-        assert_eq!(c.pipeline.watchdog_slack, 6.0, "struct builder keeps prior knobs");
+            ..c.with_watchdog_slack(6.0)
+        };
+        assert_eq!(c.stage_inflight_cap, 4);
+        assert_eq!(c.watchdog_slack, 6.0, "struct update keeps prior knobs");
     }
 
     #[test]
@@ -716,17 +486,12 @@ mod tests {
         assert_eq!(c.overload.delay_target, None, "CoDel admission defaults off");
         assert_eq!(c.overload.hedge_quantile, 0.0, "hedging defaults off");
         assert!(c.overload.breaker_window > 0, "the breaker defaults on");
-        assert_eq!(c.overload.weights, [16, 4, 1]);
-        let c = c
-            .with_delay_target(Some(Duration::from_millis(5)))
-            .with_overload(OverloadConfig {
-                hedge_quantile: 0.95,
-                ..c.overload
-            });
-        // with_overload replaces the whole struct, so the later call wins.
+        let c = c.with_overload(OverloadConfig {
+            hedge_quantile: 0.95,
+            ..c.overload
+        });
         assert_eq!(c.overload.hedge_quantile, 0.95);
-        let c = c.with_delay_target(Some(Duration::from_millis(7)));
-        assert_eq!(c.overload.delay_target, Some(Duration::from_millis(7)));
-        assert_eq!(c.overload.hedge_quantile, 0.95, "delay builder only touches its knob");
+        // with_overload replaces the whole struct, so the later call wins.
+        assert_eq!(c.with_overload(OverloadConfig::default()).overload.hedge_quantile, 0.0);
     }
 }

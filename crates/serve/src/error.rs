@@ -72,8 +72,9 @@ pub enum ServeError {
         /// The failure observed on the final attempt.
         cause: Box<ServeError>,
     },
-    /// Degraded mode: too few healthy worker shards remain, so load is
-    /// shed early (or, at zero healthy shards, entirely).
+    /// Degraded mode: a [`Server`](crate::Server) with no healthy worker
+    /// shard left, or a [`Pipeline`](crate::Pipeline) with a dead stage,
+    /// sheds load at admission.
     Degraded {
         /// Healthy worker shards at rejection time.
         healthy: usize,

@@ -26,7 +26,7 @@
 //!   rebuilds the shard's machine under a restart budget with exponential
 //!   backoff; failed batches bisect to quarantine poison requests
 //!   ([`ServeError::Quarantined`]) while their batch-mates complete;
-//!   too few healthy shards sheds load early ([`ServeError::Degraded`]);
+//!   no healthy shard left sheds all load ([`ServeError::Degraded`]);
 //!   and [`ChaosConfig`] injects deterministic panics, poison and
 //!   simulated-hardware bit flips to drive all of it in tests.
 //! * **Gray-failure resilience** ([`crate::watchdog`]) — temporal chaos
@@ -54,8 +54,9 @@
 //!   replaying only from the last checkpoint — failing over to spare
 //!   shards under the restart-budget ladder, and shedding whole-model
 //!   traffic ([`ServeError::Degraded`]) before single-layer traffic.
-//!   Pipelines ride the same overload/liveness umbrella
-//!   ([`PipelineConfig`]): wall deadlines split across stages
+//!   Pipelines ride the same overload/liveness umbrella, armed by the same
+//!   [`ServeConfig`] fields (`overload.delay_*`, `watchdog_slack` — one
+//!   config surface for both lifecycles): wall deadlines split across stages
 //!   proportionally to predicted work (doomed jobs shed at stage
 //!   boundaries), per-stage calibrated watchdogs cancel wedged stage runs,
 //!   and stage-0 admission runs priority WFQ under a CoDel-driven
@@ -95,7 +96,7 @@ pub(crate) mod supervisor;
 pub(crate) mod watchdog;
 
 pub use cache::ProgramCache;
-pub use config::{ChaosConfig, CrossCheckCorruption, OverloadConfig, PipelineConfig, ServeConfig, StageFault};
+pub use config::{ChaosConfig, CrossCheckCorruption, OverloadConfig, ServeConfig, StageFault};
 pub use error::{ForRequest, RetryClass, ServeError};
 pub use journal::{JournalConfig, RecoveryReport};
 pub use npcgra_sim::{BackendTier, IntegrityMode};

@@ -302,6 +302,11 @@ pub struct WfqScheduler {
 /// ratios faithful.
 const STRIDE: u64 = 1 << 20;
 
+/// The weighted-fair dequeue weights (`[interactive, batch, best-effort]`)
+/// both lifecycles hand to [`WfqScheduler::new`]: the [`Server`](crate::Server)
+/// admission queue and a [`Pipeline`](crate::Pipeline)'s stage 0.
+pub const CLASS_WEIGHTS: [u64; CLASSES] = [16, 4, 1];
+
 impl WfqScheduler {
     /// A scheduler with the given per-class weights (zero weights are
     /// clamped to 1 — every class must stay schedulable).

@@ -52,7 +52,7 @@
 //!   matching [`Server`](crate::Server) semantics.
 //! * **Stage watchdogs** — each stage calibrates its own ns-per-cycle EWMA
 //!   on healthy passes; with
-//!   [`pipeline.watchdog_slack`](crate::config::PipelineConfig) armed, a
+//!   [`watchdog_slack`](crate::ServeConfig::watchdog_slack) armed, a
 //!   stage pass gets a wall deadline of `predicted cycles × ns-per-cycle ×
 //!   slack` enforced by a watchdog thread that cancels the in-hand run's
 //!   [`CancelToken`] — the typed [`ServeError::Preempted`] walks the same
@@ -60,16 +60,20 @@
 //!   stall the pipeline until the chaos soak notices.
 //! * **Priority admission + brownout** — stage 0 holds one FIFO per
 //!   [`Priority`] class, dequeued by stride WFQ
-//!   ([`pipeline.weights`](crate::config::PipelineConfig)); a CoDel
-//!   controller over *stage-queue* sojourn times climbs the
+//!   ([`CLASS_WEIGHTS`]); a CoDel controller
+//!   ([`overload.delay_target`](crate::OverloadConfig::delay_target))
+//!   over *stage-queue* sojourn times climbs the
 //!   [`BrownoutLevel`] ladder under standing delay, shedding best-effort
 //!   first, then capping per-stage in-flight depth, then draining —
 //!   lower-priority whole-model traffic degrades before any single-layer
 //!   traffic is touched.
 //!
-//! Every knob defaults off
-//! ([`PipelineConfig`](crate::config::PipelineConfig)): untouched configs
-//! serve exactly as before these layers existed.
+//! These are the [`ServeConfig`] fields a [`Server`](crate::Server) reads
+//! for the same machinery — one config surface, handed to whichever
+//! lifecycle is started — and every one defaults off: untouched configs
+//! serve exactly as before these layers existed. The only pipeline-only
+//! overload knob is
+//! [`stage_inflight_cap`](crate::ServeConfig::stage_inflight_cap).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -86,10 +90,10 @@ use npcgra_sim::{
 
 use crate::config::{ServeConfig, StageFault};
 use crate::error::{RetryClass, ServeError};
-use crate::overload::{BrownoutLevel, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES};
+use crate::overload::{BrownoutLevel, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES, CLASS_WEIGHTS};
 use crate::server::{expected_weight_shape, reply_pair, Delivery, ReplySender, Response, Ticket};
-use crate::stats::CALIBRATION_MIN_SAMPLES;
-use crate::supervisor::{backoff_seed, decorrelated_backoff, splitmix64};
+use crate::stats::{CALIBRATION_MIN_SAMPLES, EWMA_ALPHA};
+use crate::supervisor::{backoff_seed, decorrelated_backoff, splitmix64, SHARD_INTEGRITY};
 use crate::watchdog::Watchdog;
 
 /// When a wedge is chaos-injected but no cycle budget is configured (and
@@ -423,7 +427,7 @@ struct PipeShared {
     ready: Condvar,
     stats: PipeStats,
     /// One arming slot per stage (a stage runs one job at a time); the
-    /// watchdog thread is only spawned when `pipeline.watchdog_slack > 0`.
+    /// watchdog thread is only spawned when `watchdog_slack > 0`.
     watchdog: Watchdog,
     /// `frac_after[s]`: the fraction of the whole model's predicted work
     /// (stage cycles + handoff cycles) that lies in stages *after* `s`.
@@ -485,11 +489,10 @@ impl PipeShared {
             return;
         }
         let obs = wall.as_nanos() as f64 / predicted as f64;
-        let alpha = self.config.health_ewma_alpha;
         let n = self.calib_samples[stage].fetch_add(1, Ordering::Relaxed);
         let bits = &self.calib_ns_bits[stage];
         let old = f64::from_bits(bits.load(Ordering::Relaxed));
-        let new = if n == 0 { obs } else { old + alpha * (obs - old) };
+        let new = if n == 0 { obs } else { old + EWMA_ALPHA * (obs - old) };
         bits.store(new.to_bits(), Ordering::Relaxed);
     }
 
@@ -514,8 +517,10 @@ impl PipeShared {
 ///     ConvLayer::depthwise("dw", 3, 8, 8, 3, 1, 1),
 ///     ConvLayer::pointwise("pw", 3, 4, 8, 8),
 /// ];
-/// let config = ServeConfig::default().with_pipeline_stages(2);
-/// let model = CompiledModel::compile("demo", &layers, &config.spec, config.pipeline_stages).unwrap();
+/// let config = ServeConfig::default();
+/// // The stage count is `compile`'s argument; the pipeline serves however
+/// // many stages the compiled model has.
+/// let model = CompiledModel::compile("demo", &layers, &config.spec, 2).unwrap();
 /// let weights = layers.iter().map(|l| l.random_weights(7)).collect();
 /// let pipe = Pipeline::start(config, model, weights).unwrap();
 /// let ticket = pipe.submit(Tensor::random(3, 8, 8, 1)).unwrap();
@@ -526,8 +531,7 @@ impl PipeShared {
 pub struct Pipeline {
     shared: Arc<PipeShared>,
     handles: Vec<JoinHandle<()>>,
-    /// The stage-watchdog thread; only spawned when
-    /// `pipeline.watchdog_slack > 0`.
+    /// The stage-watchdog thread; only spawned when `watchdog_slack > 0`.
     watchdog_handle: Option<JoinHandle<()>>,
 }
 
@@ -574,15 +578,15 @@ impl Pipeline {
             })
             .collect();
         let controller = config
-            .pipeline
+            .overload
             .delay_target
-            .map(|target| OverloadController::new(target, config.pipeline.delay_window, Instant::now()));
+            .map(|target| OverloadController::new(target, config.overload.delay_window, Instant::now()));
         let shared = Arc::new(PipeShared {
             stats: PipeStats::new(stages),
             state: Mutex::new(PipeState {
                 entry: (0..CLASSES).map(|_| VecDeque::new()).collect(),
                 queues: (0..stages).map(|_| VecDeque::new()).collect(),
-                wfq: WfqScheduler::new(config.pipeline.weights),
+                wfq: WfqScheduler::new(CLASS_WEIGHTS),
                 controller,
                 open: true,
                 inflight: 0,
@@ -609,7 +613,7 @@ impl Pipeline {
                     .expect("spawn stage worker")
             })
             .collect();
-        let watchdog_handle = (shared.config.pipeline.watchdog_slack > 0.0).then(|| {
+        let watchdog_handle = (shared.config.watchdog_slack > 0.0).then(|| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("npcgra-serve-pipe-watchdog".to_string())
@@ -629,9 +633,7 @@ impl Pipeline {
 
     /// Submit one inference; the [`Ticket`] redeems the final-stage output.
     ///
-    /// Interactive class, with the configured
-    /// [`pipeline.default_deadline`](crate::config::PipelineConfig) (none
-    /// by default) — the same convenience contract as
+    /// Interactive class, never expires — the same convenience contract as
     /// [`Server::submit`](crate::Server::submit).
     ///
     /// # Errors
@@ -643,7 +645,7 @@ impl Pipeline {
     /// [`ServeError::DeadlineExceeded`] for a zero deadline, and
     /// [`ServeError::ShapeMismatch`] for a wrong input shape.
     pub fn submit(&self, input: Tensor) -> Result<Ticket, ServeError> {
-        self.submit_with_priority(input, self.shared.config.pipeline.default_deadline, Priority::Interactive)
+        self.submit_with_priority(input, None, Priority::Interactive)
     }
 
     /// [`Pipeline::submit`] with an explicit wall deadline for the final
@@ -759,12 +761,12 @@ impl Pipeline {
     }
 
     /// The brownout in-flight cap: the configured
-    /// [`stage_inflight_cap`](crate::config::PipelineConfig), or a derived
-    /// per-stage share of the queue capacity when left at 0.
+    /// [`stage_inflight_cap`](crate::ServeConfig::stage_inflight_cap), or a
+    /// derived per-stage share of the queue capacity when left at 0.
     fn stage_inflight_cap(&self) -> usize {
         let cfg = &self.shared.config;
-        if cfg.pipeline.stage_inflight_cap > 0 {
-            cfg.pipeline.stage_inflight_cap
+        if cfg.stage_inflight_cap > 0 {
+            cfg.stage_inflight_cap
         } else {
             (cfg.queue_capacity / (2 * self.shared.model.num_stages())).max(1)
         }
@@ -843,7 +845,7 @@ fn fires(trigger: Option<StageFault>, stage: usize, job: u64, fired: &mut bool) 
 /// convention as the batch supervisor's shards).
 fn build_stage_backend(config: &ServeConfig, stage: usize, generation: u64) -> Box<dyn ExecutionBackend> {
     let mut backend = backend_for(config.backend_tier, &config.spec);
-    backend.set_integrity_mode(config.integrity);
+    backend.set_integrity_mode(SHARD_INTEGRITY);
     backend.set_fault_plan(stage_fault_plan(config, stage, generation));
     backend
 }
@@ -1003,7 +1005,7 @@ impl<'a> StageWorker<'a> {
         // watchdog thread cancels the run's token past it; the run surfaces
         // [`ServeError::Preempted`] and walks the restart→spare ladder.
         let predicted = shared.model.stages()[s].predicted_cycles();
-        let slack = cfg.pipeline.watchdog_slack;
+        let slack = cfg.watchdog_slack;
         let armed = if slack > 0.0 && predicted > 0 {
             shared.stage_ns_per_cycle(s).map(|ns| {
                 let wall = Duration::from_nanos((predicted as f64 * ns * slack) as u64).max(WATCHDOG_FLOOR);

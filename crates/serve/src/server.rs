@@ -29,10 +29,14 @@ use crate::cache::ProgramCache;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::journal::{self, DedupEntry, DedupTable, JournalConfig, JournalWriter, Record, RecoveredAdmit, RecoveryReport};
-use crate::overload::{BrownoutLevel, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES};
+use crate::overload::{BrownoutLevel, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES, CLASS_WEIGHTS};
 use crate::stats::{Stats, StatsSnapshot, WorkerExit};
 use crate::supervisor;
 use crate::watchdog::Watchdog;
+
+/// Bound on distinct compiled programs kept in the shared cache; the
+/// least-recently-used entry is evicted past it.
+const PROGRAM_CACHE_CAPACITY: usize = 512;
 
 /// Handle to a registered model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -721,12 +725,12 @@ impl Server {
                     .overload
                     .delay_target
                     .map(|target| OverloadController::new(target, config.overload.delay_window, Instant::now())),
-                wfq: WfqScheduler::new(config.overload.weights),
+                wfq: WfqScheduler::new(CLASS_WEIGHTS),
                 inflight: Vec::new(),
                 next_inflight_id: 0,
             }),
             ready: Condvar::new(),
-            cache: ProgramCache::with_capacity(config.cache_capacity),
+            cache: ProgramCache::with_capacity(PROGRAM_CACHE_CAPACITY),
             watchdog: Watchdog::new(config.workers),
             started: Instant::now(),
             config,
@@ -747,10 +751,7 @@ impl Server {
                 .spawn(move || {
                     // A fired slot is a preempted shard: charge its health
                     // EWMA so hedge claims steer away from it.
-                    let alpha = shared.config.health_ewma_alpha;
-                    shared
-                        .watchdog
-                        .run(|worker| shared.stats.observe_health_sample(worker, 0.0, alpha));
+                    shared.watchdog.run(|worker| shared.stats.observe_health_sample(worker, 0.0));
                 })
                 .expect("spawn watchdog")
         });
@@ -795,14 +796,13 @@ impl Server {
         Ok(id)
     }
 
-    /// Submit a request with the configured default deadline, at
-    /// [`Priority::Interactive`].
+    /// Submit a request that never expires, at [`Priority::Interactive`].
     ///
     /// # Errors
     ///
     /// As [`Server::submit_with_priority`].
     pub fn submit(&self, model: ModelId, input: Tensor) -> Result<Ticket, ServeError> {
-        self.submit_with_deadline(model, input, self.shared.config.default_deadline)
+        self.submit_with_deadline(model, input, None)
     }
 
     /// Submit a request at [`Priority::Interactive`] that must *start
@@ -817,7 +817,7 @@ impl Server {
 
     /// Submit a request in an explicit [`Priority`] class. Admission
     /// control applies here: a full queue, a draining server, a degraded
-    /// one (too few healthy shards), or an overloaded one (the brownout
+    /// one (no healthy shard left), or an overloaded one (the brownout
     /// ladder sheds this class, or this non-cached model, at admission)
     /// rejects synchronously, typed. A full queue with lower-priority
     /// requests queued evicts the oldest of the lowest backlogged class
@@ -965,26 +965,13 @@ impl Server {
         }
         // Degraded mode (only meaningful with workers configured): with no
         // healthy shard left nothing will ever drain the queue, so shed
-        // everything; below the healthy threshold, scale the queue bound by
-        // the surviving fraction so backlog shrinks with capacity.
-        if shared.config.workers > 0 {
-            if q.healthy == 0 {
-                shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Degraded {
-                    healthy: 0,
-                    workers: shared.config.workers,
-                });
-            }
-            if q.healthy < shared.config.min_healthy_workers {
-                let scaled = (shared.config.queue_capacity * q.healthy / shared.config.workers).max(1);
-                if q.total >= scaled {
-                    shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Degraded {
-                        healthy: q.healthy,
-                        workers: shared.config.workers,
-                    });
-                }
-            }
+        // everything.
+        if shared.config.workers > 0 && q.healthy == 0 {
+            shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::Degraded {
+                healthy: 0,
+                workers: shared.config.workers,
+            });
         }
         // CoDel admission: sample the live sojourn of the oldest queued
         // request (queue delay as the arriving request would see it), let

@@ -51,6 +51,11 @@ const HEALTH_SCALE: f64 = 1e6;
 /// evidence bar.
 pub(crate) const CALIBRATION_MIN_SAMPLES: u64 = 4;
 
+/// Smoothing factor of the ns-per-cycle calibration EWMAs (per tier here,
+/// per stage in the pipeline) and of the per-shard health EWMA that steers
+/// hedge-target selection toward the healthiest shard.
+pub(crate) const EWMA_ALPHA: f64 = 0.2;
+
 /// Per-tenant outcome counters, written by a front-end (e.g.
 /// `npcgra-net`) through its [`TenantHandle`]. Writes use `Release` and
 /// the snapshot reads `Acquire` — the same discipline as
@@ -380,7 +385,7 @@ impl Stats {
     /// that converts predicted compute cycles into a wall-clock deadline.
     /// The update is load-then-store (a lost race drops one sample, which
     /// the EWMA absorbs).
-    pub(crate) fn observe_run_timing(&self, tier: BackendTier, predicted_cycles: u64, wall: Duration, alpha: f64) {
+    pub(crate) fn observe_run_timing(&self, tier: BackendTier, predicted_cycles: u64, wall: Duration) {
         if predicted_cycles == 0 {
             return;
         }
@@ -390,7 +395,7 @@ impl Stats {
         let new = if self.calibration_samples[t].fetch_add(1, Ordering::Relaxed) == 0 {
             obs
         } else {
-            old + alpha * (obs - old)
+            old + EWMA_ALPHA * (obs - old)
         };
         self.ns_per_cycle_bits[t].store(new.to_bits(), Ordering::Relaxed);
     }
@@ -415,11 +420,11 @@ impl Stats {
 
     /// Fold one health observation (`[0, 1]`: 1.0 = on-time batch, 0.0 =
     /// preemption/canary strike) into a shard's EWMA.
-    pub(crate) fn observe_health_sample(&self, worker: usize, obs: f64, alpha: f64) {
+    pub(crate) fn observe_health_sample(&self, worker: usize, obs: f64) {
         let obs = obs.clamp(0.0, 1.0);
         let cell = &self.health_score[worker];
         let old = cell.load(Ordering::Relaxed) as f64 / HEALTH_SCALE;
-        let new = old + alpha * (obs - old);
+        let new = old + EWMA_ALPHA * (obs - old);
         cell.store((new * HEALTH_SCALE) as u64, Ordering::Relaxed);
     }
 
@@ -1067,22 +1072,22 @@ mod tests {
         assert!((s.health_score(0) - 1.0).abs() < 1e-6, "shards start healthy");
         // A preemption (0.0 sample) pulls the EWMA down; on-time batches
         // pull it back up.
-        s.observe_health_sample(0, 0.0, 0.5);
-        assert!((s.health_score(0) - 0.5).abs() < 1e-6);
-        s.observe_health_sample(0, 1.0, 0.5);
-        assert!((s.health_score(0) - 0.75).abs() < 1e-6);
+        s.observe_health_sample(0, 0.0);
+        assert!((s.health_score(0) - 0.8).abs() < 1e-6);
+        s.observe_health_sample(0, 1.0);
+        assert!((s.health_score(0) - 0.84).abs() < 1e-6);
         // Effective health is zeroed by an open breaker and by shard death,
         // without touching the underlying EWMA.
         s.set_breaker_state(0, BreakerState::Open);
         assert_eq!(s.effective_health(0), 0.0);
-        assert!((s.health_score(0) - 0.75).abs() < 1e-6);
+        assert!((s.health_score(0) - 0.84).abs() < 1e-6);
         s.set_breaker_state(0, BreakerState::Closed);
-        assert!((s.effective_health(0) - 0.75).abs() < 1e-6);
+        assert!((s.effective_health(0) - 0.84).abs() < 1e-6);
         s.mark_shard_dead(1);
         assert_eq!(s.effective_health(1), 0.0);
         let snap = s.snapshot(Duration::from_secs(1), 0);
-        assert!((snap.shard_health_score[0] - 0.75).abs() < 1e-6);
-        assert!(snap.to_string().contains("scores w0:0.75"));
+        assert!((snap.shard_health_score[0] - 0.84).abs() < 1e-6);
+        assert!(snap.to_string().contains("scores w0:0.84"));
     }
 
     #[test]
@@ -1092,12 +1097,12 @@ mod tests {
         assert_eq!(s.ns_per_cycle(tier), None);
         // 1000 predicted cycles in 2 µs → 2 ns/cycle, four times over.
         for _ in 0..4 {
-            s.observe_run_timing(tier, 1000, Duration::from_micros(2), 0.2);
+            s.observe_run_timing(tier, 1000, Duration::from_micros(2));
         }
         let v = s.ns_per_cycle(tier).expect("calibrated after 4 samples");
         assert!((v - 2.0).abs() < 1e-9, "steady input converges exactly, got {v}");
         // Zero predicted cycles is ignored rather than dividing by zero.
-        s.observe_run_timing(tier, 0, Duration::from_secs(1), 0.2);
+        s.observe_run_timing(tier, 0, Duration::from_secs(1));
         assert!((s.ns_per_cycle(tier).unwrap() - 2.0).abs() < 1e-9);
         let snap = s.snapshot(Duration::from_secs(1), 0);
         assert!((snap.ns_per_cycle[tier.index()] - 2.0).abs() < 1e-9);
@@ -1112,11 +1117,11 @@ mod tests {
         // magnitude and preempt honest batches.
         let s = Stats::new(1, 4);
         for _ in 0..4 {
-            s.observe_run_timing(BackendTier::CycleAccurate, 1000, Duration::from_micros(2), 0.2);
+            s.observe_run_timing(BackendTier::CycleAccurate, 1000, Duration::from_micros(2));
         }
         assert_eq!(s.ns_per_cycle(BackendTier::Fast), None, "fast tier starts uncalibrated");
         for _ in 0..4 {
-            s.observe_run_timing(BackendTier::Fast, 1000, Duration::from_nanos(20), 0.2);
+            s.observe_run_timing(BackendTier::Fast, 1000, Duration::from_nanos(20));
         }
         assert!((s.ns_per_cycle(BackendTier::CycleAccurate).unwrap() - 2.0).abs() < 1e-9);
         assert!((s.ns_per_cycle(BackendTier::Fast).unwrap() - 0.02).abs() < 1e-9);

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use npcgra_nn::{ConvKind, ConvLayer, Tensor};
 use npcgra_sim::{
     backend_for, run_standard_via_im2col, BackendTier, CancelToken, CompiledLayer, ExecutionBackend, FaultPlan, GrayRates,
-    LayerReport, Machine, MappingKind, SimCause, SimError,
+    IntegrityMode, LayerReport, Machine, MappingKind, SimCause, SimError,
 };
 
 use crate::batch;
@@ -39,6 +39,12 @@ use crate::server::{
     Work,
 };
 use crate::stats::WorkerExit;
+
+/// ABFT output verification every shard backend runs under, in both
+/// lifecycles: silent corruption becomes a typed, retryable
+/// [`ServeError::Integrity`] instead of a wrong reply; on fault-free
+/// hardware the checks always pass and cost O(output) host work per block.
+pub(crate) const SHARD_INTEGRITY: IntegrityMode = IntegrityMode::Verify;
 
 /// Lock the shared queue, adopting (not propagating) poisoned state.
 pub(crate) fn lock_queue(shared: &Shared) -> MutexGuard<'_, QueueState> {
@@ -252,9 +258,7 @@ impl Shard {
     /// health score, and walk the same restart ladder as a panic.
     fn note_preemption(&mut self, shared: &Shared) {
         shared.stats.watchdog_preemptions.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .observe_health_sample(self.worker, 0.0, shared.config.health_ewma_alpha);
+        shared.stats.observe_health_sample(self.worker, 0.0);
         self.restart_or_retire(shared);
     }
 
@@ -318,7 +322,7 @@ pub(crate) fn decorrelated_backoff(base: Duration, cap: Duration, prev: Duration
 /// fault-plan dialect.
 fn build_backend(shared: &Shared, worker: usize, restarts: u32) -> Box<dyn ExecutionBackend> {
     let mut backend = backend_for(shared.config.backend_tier, &shared.config.spec);
-    backend.set_integrity_mode(shared.config.integrity);
+    backend.set_integrity_mode(SHARD_INTEGRITY);
     let chaos = &shared.config.chaos;
     if let Some(seed) = chaos.fault_seed {
         if chaos.fault_rate > 0.0 || chaos.gray_rate > 0.0 {
@@ -539,15 +543,14 @@ fn run_with_liveness(
         shared.watchdog.disarm(worker);
     }
     if let Ok((ofm, report)) = &result {
-        let alpha = cfg.health_ewma_alpha;
-        shared.stats.observe_run_timing(tier, predicted, wall, alpha);
+        shared.stats.observe_run_timing(tier, predicted, wall);
         shared.stats.observe_cycles_charged(tier, report.cycles);
         if let Some(ns) = shared.stats.ns_per_cycle(tier) {
             // Health observation: 1.0 when the run landed at (or under)
             // its predicted wall time, shrinking toward 0 as it overruns.
             let predicted_ns = predicted as f64 * ns;
             let obs = (predicted_ns / (wall.as_nanos() as f64).max(1.0)).min(1.0);
-            shared.stats.observe_health_sample(worker, obs, alpha);
+            shared.stats.observe_health_sample(worker, obs);
         }
         if tier == BackendTier::Fast
             && cfg.cross_check_interval > 0

@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use npcgra_nn::{models, reference, ConvLayer, Tensor};
-use npcgra_serve::{Pipeline, Priority, ServeConfig, ServeError, StageFault, Ticket};
+use npcgra_serve::{BrownoutLevel, OverloadConfig, Pipeline, Priority, ServeConfig, ServeError, Server, StageFault, Ticket};
 use npcgra_sim::CompiledModel;
 
 const STAGES: usize = 4;
@@ -250,7 +250,7 @@ fn stage_watchdog_preempts_a_wedged_stage_and_heals() {
         .with_stage_spares(1)
         .with_checkpoint_every(1)
         .with_restart_backoff(Duration::ZERO)
-        .with_pipeline_watchdog_slack(4.0);
+        .with_watchdog_slack(4.0);
     assert_eq!(cfg.cycle_budget, 0.0, "the wall watchdog must be the only preemption path");
     // Jobs 0..=3 calibrate each stage's ns-per-cycle estimate (4 healthy
     // passes); job 4 wedges stage 1 with the watchdog armed.
@@ -270,6 +270,55 @@ fn stage_watchdog_preempts_a_wedged_stage_and_heals() {
     assert_eq!(stats.stage_failovers, vec![0, 1], "budget 0 fails straight over to the spare");
     assert_eq!(stats.stage_replays, vec![0, 1], "healing replayed only the wedged stage");
     assert_eq!(stats.panics_caught, 0);
+}
+
+/// One config surface: the same `overload.delay_*` and `watchdog_slack`
+/// fields arm CoDel admission and the wall-clock watchdog in *both*
+/// lifecycles, and stay inert in both under a light healthy load.
+#[test]
+fn one_config_arms_both_lifecycles_and_stays_inert_under_light_load() {
+    let layers = vec![ConvLayer::pointwise("a", 3, 3, 8, 8), ConvLayer::pointwise("b", 3, 3, 8, 8)];
+    let spec = npcgra_arch::CgraSpec::np_cgra(4, 4);
+    let armed = ServeConfig::for_spec(&spec)
+        .with_workers(1)
+        .with_overload(OverloadConfig {
+            delay_target: Some(Duration::from_millis(50)),
+            delay_window: Duration::from_millis(20),
+            ..OverloadConfig::default()
+        })
+        .with_watchdog_slack(64.0);
+    let weights: Vec<Tensor> = layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| l.random_weights(90 + i as u64))
+        .collect();
+    let inputs: Vec<Tensor> = (0..8u64).map(|i| Tensor::random(3, 8, 8, 900 + i)).collect();
+
+    let server = Server::start(armed);
+    let id = server.register("a", layers[0].clone(), weights[0].clone()).unwrap();
+    for (i, input) in inputs.iter().enumerate() {
+        let gold = reference::run_layer(&layers[0], input, &weights[0]).unwrap();
+        let out = server.submit(id, input.clone()).unwrap().wait().unwrap().output;
+        assert_eq!(out, gold, "served request {i} diverged");
+    }
+    let served = server.shutdown();
+    assert_eq!(served.completed, inputs.len() as u64);
+    assert_eq!(served.brownout_level, BrownoutLevel::Normal);
+    assert_eq!(served.overload_sheds, [0, 0, 0]);
+    assert_eq!(served.watchdog_preemptions, 0);
+
+    let model = CompiledModel::compile("pair", &layers, &spec, 2).unwrap();
+    let pipe = Pipeline::start(armed, model, weights.clone()).unwrap();
+    for (i, input) in inputs.iter().enumerate() {
+        let gold = golden(&layers, &weights, input);
+        let out = pipe.submit(input.clone()).unwrap().wait().unwrap().output;
+        assert_eq!(out, gold, "inference {i} diverged");
+    }
+    let piped = pipe.shutdown();
+    assert_eq!(piped.completed, inputs.len() as u64);
+    assert_eq!(piped.brownout_escalations, 0, "the pipeline ladder never left Normal");
+    assert_eq!(piped.overload_sheds, vec![0, 0, 0]);
+    assert_eq!(piped.watchdog_preemptions, 0);
 }
 
 /// Priority admission: mixed-class whole-model traffic all completes under

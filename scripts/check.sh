@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full verification: format, lints, tests (incl. the heavy full-size ones),
-# examples, evaluation binaries, the benchmark's smoke run and own tests,
-# the ten soak gates (scripts/soaks.sh) and the paper-table benches.
+# Full verification: format, lints, the knob census (scripts/knobs.sh),
+# tests (incl. the heavy full-size ones), examples, evaluation binaries,
+# the benchmark's smoke run and own tests, the ten soak gates
+# (scripts/soaks.sh) and the paper-table benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,9 @@ cargo fmt --check
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== knob census (no config field or builder that nothing sets) =="
+scripts/knobs.sh
 
 echo "== tests =="
 cargo test --workspace
