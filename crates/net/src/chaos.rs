@@ -1,7 +1,7 @@
 //! Deterministic network chaos injection.
 //!
 //! [`NetChaos`] is the wire-level sibling of the simulator's
-//! [`FaultPlan`](npcgra_sim::FaultPlan): every draw is a pure hash of
+//! `npcgra_sim::FaultPlan`: every draw is a pure hash of
 //! `(seed, connection ordinal, frame ordinal)`, so a whole chaos soak is
 //! **bit-identical across executions with the same seed**, while every
 //! connection and every frame sees an independent draw — exactly how a

@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn integrity_defaults_to_verify_with_no_canary() {
-        assert_eq!(crate::supervisor::SHARD_INTEGRITY, npcgra_sim::IntegrityMode::Verify);
+        assert_eq!(crate::domain::SHARD_INTEGRITY, npcgra_sim::IntegrityMode::Verify);
         assert_eq!(ServeConfig::default().canary_interval, 0);
     }
 

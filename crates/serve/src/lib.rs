@@ -23,7 +23,7 @@
 //!   batch formation ([`ServeError::DeadlineExceeded`]), and shutdown
 //!   drains gracefully.
 //! * **Fault tolerance** — worker panics are caught by a supervisor that
-//!   rebuilds the shard's machine under a restart budget with exponential
+//!   rebuilds the shard's machine under a restart budget with jittered
 //!   backoff; failed batches bisect to quarantine poison requests
 //!   ([`ServeError::Quarantined`]) while their batch-mates complete;
 //!   no healthy shard left sheds all load ([`ServeError::Degraded`]);
@@ -35,10 +35,9 @@
 //!   ([`ServeConfig::cycle_budget`](crate::ServeConfig)) and a batch
 //!   watchdog arming `predicted cycles × calibrated ns-per-cycle ×`
 //!   [`watchdog_slack`](crate::ServeConfig) wall deadlines cancel stuck
-//!   runs cooperatively ([`ServeError::Preempted`], retryable); the
-//!   supervisor rebuilds preempted shards under the restart budget with
-//!   decorrelated-jitter backoff, and a per-shard health EWMA steers
-//!   hedge claims to the healthiest shard.
+//!   runs cooperatively ([`ServeError::Preempted`], retryable); a
+//!   preempted shard is rebuilt like a panicked one, and a per-shard
+//!   health EWMA steers hedge claims to the healthiest shard.
 //! * **Overload control** ([`crate::overload`]) — requests carry a
 //!   [`Priority`] class; weighted-fair dequeue keeps every class moving
 //!   while CoDel-style adaptive admission climbs a staged brownout ladder
@@ -85,6 +84,7 @@
 pub(crate) mod batch;
 pub mod cache;
 pub mod config;
+pub(crate) mod domain;
 pub mod error;
 pub mod journal;
 pub mod overload;

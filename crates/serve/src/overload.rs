@@ -284,6 +284,28 @@ impl OverloadController {
     }
 }
 
+/// The brownout step both lifecycles take under their queue lock: sample
+/// the sojourn of work queued since `since` (the oldest queued head at
+/// admission; the youngest member of a batch at dequeue, whose sojourn is
+/// the batch's minimum) or, with nothing queued, just let the window tick
+/// over; hand each ladder transition to `on_change`; return the rung in
+/// force — [`BrownoutLevel::Normal`] when no controller is configured.
+pub(crate) fn brownout_step(
+    ctrl: Option<&mut OverloadController>,
+    now: Instant,
+    since: Option<Instant>,
+    on_change: impl FnMut(LevelChange),
+) -> BrownoutLevel {
+    let Some(ctrl) = ctrl else { return BrownoutLevel::Normal };
+    let mut changes = Vec::new();
+    match since {
+        Some(oldest) => ctrl.observe(now, now.duration_since(oldest), &mut changes),
+        None => ctrl.tick(now, &mut changes),
+    }
+    changes.into_iter().for_each(on_change);
+    ctrl.level()
+}
+
 /// Stride-scheduling weighted-fair queueing over the priority classes.
 ///
 /// Each class holds a *pass* value; the class with the smallest pass among

@@ -27,13 +27,12 @@
 //!
 //! Failures are classified by [`RetryClass`]: `Retry`-class failures heal
 //! in place; `RebuildAndRetry`-class failures (panic, preemption) also walk
-//! the stage's restart ladder — rebuild the backend under
-//! [`restart_budget`](crate::ServeConfig::restart_budget) with
-//! decorrelated-jitter backoff, then **fail over** to a spare shard
-//! ([`stage_spares`](crate::ServeConfig::stage_spares), a fresh backend
-//! with a fresh fault stream), and only with every spare consumed does the
-//! stage go dead. A dead stage sheds *whole-model* traffic
-//! ([`ServeError::Degraded`]) — in a mixed deployment the single-layer
+//! the stage's fault-domain ladder (DESIGN §10.1) — restarts under
+//! [`restart_budget`](crate::ServeConfig::restart_budget), then **failover**
+//! to [`stage_spares`](crate::ServeConfig::stage_spares) spare shards — and
+//! only with every spare consumed does the stage go dead. A dead stage
+//! sheds *whole-model* traffic ([`ServeError::Degraded`], also for a job
+//! forwarded or healed onto it) — in a mixed deployment the single-layer
 //! [`Server`](crate::Server) keeps serving, honoring the brownout rule of
 //! shedding pipeline traffic before single-layer traffic.
 //!
@@ -53,18 +52,17 @@
 //! * **Stage watchdogs** — each stage calibrates its own ns-per-cycle EWMA
 //!   on healthy passes; with
 //!   [`watchdog_slack`](crate::ServeConfig::watchdog_slack) armed, a
-//!   stage pass gets a wall deadline of `predicted cycles × ns-per-cycle ×
-//!   slack` enforced by a watchdog thread that cancels the in-hand run's
-//!   [`CancelToken`] — the typed [`ServeError::Preempted`] walks the same
-//!   restart→spare ladder as a caught panic, so a wedged stage cannot
-//!   stall the pipeline until the chaos soak notices.
+//!   stage pass runs under the watchdog's wall deadline (DESIGN §10.1);
+//!   the typed [`ServeError::Preempted`] of a cancelled pass walks the same
+//!   ladder as a caught panic, so a wedged stage cannot stall the pipeline.
 //! * **Priority admission + brownout** — stage 0 holds one FIFO per
 //!   [`Priority`] class, dequeued by stride WFQ
 //!   ([`CLASS_WEIGHTS`]); a CoDel controller
 //!   ([`overload.delay_target`](crate::OverloadConfig::delay_target))
 //!   over *stage-queue* sojourn times climbs the
-//!   [`BrownoutLevel`] ladder under standing delay, shedding best-effort
-//!   first, then capping per-stage in-flight depth, then draining —
+//!   [`BrownoutLevel`](crate::BrownoutLevel) ladder under standing delay,
+//!   shedding best-effort first, then capping per-stage in-flight depth,
+//!   then draining —
 //!   lower-priority whole-model traffic degrades before any single-layer
 //!   traffic is touched.
 //!
@@ -84,16 +82,16 @@ use std::time::{Duration, Instant};
 
 use npcgra_nn::{Tensor, Word};
 use npcgra_sim::{
-    backend_for, tensor_checksum, CancelToken, CheckKind, CompiledModel, ExecutionBackend, Fault, FaultPlan, FaultSite,
-    GrayRates, LayerReport, SimCause, SimError, TemporalFault, Violation,
+    tensor_checksum, CheckKind, CompiledModel, Fault, FaultPlan, FaultSite, LayerReport, SimCause, SimError, TemporalFault,
+    Violation,
 };
 
 use crate::config::{ServeConfig, StageFault};
+use crate::domain::{cycle_budget, panic_message, FaultDomain, Rebuilt};
 use crate::error::{RetryClass, ServeError};
-use crate::overload::{BrownoutLevel, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES, CLASS_WEIGHTS};
+use crate::overload::{brownout_step, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES, CLASS_WEIGHTS};
 use crate::server::{expected_weight_shape, reply_pair, Delivery, ReplySender, Response, Ticket};
-use crate::stats::{CALIBRATION_MIN_SAMPLES, EWMA_ALPHA};
-use crate::supervisor::{backoff_seed, decorrelated_backoff, splitmix64, SHARD_INTEGRITY};
+use crate::stats::NsPerCycle;
 use crate::watchdog::Watchdog;
 
 /// When a wedge is chaos-injected but no cycle budget is configured (and
@@ -101,12 +99,6 @@ use crate::watchdog::Watchdog;
 /// wedge surfaces as a typed preemption instead of hanging the stage
 /// forever.
 const WEDGE_FALLBACK_BUDGET: f64 = 8.0;
-
-/// The stage watchdog's wall-deadline floor, for the same reason as the
-/// batch watchdog's: below this, host scheduling noise masquerades as a
-/// gray failure, while a true wedge (pacing 100 µs per simulated cycle)
-/// still overshoots it within a few hundred cycles.
-const WATCHDOG_FLOOR: Duration = Duration::from_millis(25);
 
 /// One inference moving through the pipeline: the current activation, its
 /// handoff checksum, the checkpoints it can heal from, and the per-layer
@@ -225,6 +217,7 @@ impl PipeState {
 
 /// Pipeline counters (all relaxed atomics; exactness is per-counter, not
 /// cross-counter).
+#[derive(Default)]
 struct PipeStats {
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -255,29 +248,12 @@ impl PipeStats {
     fn new(stages: usize) -> Self {
         let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         PipeStats {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            checkpoints_stored: AtomicU64::new(0),
-            checkpoint_restores: AtomicU64::new(0),
-            handoff_corruptions: AtomicU64::new(0),
-            integrity_failures: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            preemptions: AtomicU64::new(0),
-            cycles_charged: AtomicU64::new(0),
-            handoff_cycles: AtomicU64::new(0),
-            rejected_deadline: AtomicU64::new(0),
-            deadline_sheds: AtomicU64::new(0),
-            late_replies: AtomicU64::new(0),
-            watchdog_preemptions: AtomicU64::new(0),
-            brownout_escalations: AtomicU64::new(0),
-            brownout_deescalations: AtomicU64::new(0),
             admitted_by_class: zeros(CLASSES),
             overload_sheds: zeros(CLASSES),
             stage_replays: zeros(stages),
             stage_restarts: zeros(stages),
             stage_failovers: zeros(stages),
+            ..PipeStats::default()
         }
     }
 
@@ -426,18 +402,14 @@ struct PipeShared {
     state: Mutex<PipeState>,
     ready: Condvar,
     stats: PipeStats,
-    /// One arming slot per stage (a stage runs one job at a time); the
-    /// watchdog thread is only spawned when `watchdog_slack > 0`.
-    watchdog: Watchdog,
+    /// One arming slot per stage (a stage runs one job at a time).
+    watchdog: Arc<Watchdog>,
     /// `frac_after[s]`: the fraction of the whole model's predicted work
     /// (stage cycles + handoff cycles) that lies in stages *after* `s`.
     /// `frac_after[last] == 0`. Precomputed once — the deadline split.
     frac_after: Vec<f64>,
-    /// Per-stage ns-per-cycle EWMA (f64 bits; written only by the stage's
-    /// own worker) and its healthy-sample count — the stage watchdog's
-    /// calibration, mirroring the server's per-tier estimate.
-    calib_ns_bits: Vec<AtomicU64>,
-    calib_samples: Vec<AtomicU64>,
+    /// Per-stage watchdog calibration, fed by the stage's own worker.
+    ns_per_cycle: Vec<NsPerCycle>,
 }
 
 impl PipeShared {
@@ -464,6 +436,26 @@ impl PipeShared {
         self.ready.notify_all();
     }
 
+    /// Queue `job` for stage `to` (at the front when healing) — or shed it
+    /// when that stage has died: no worker will ever pop its queue, so the
+    /// job would strand and `inflight` never drain.
+    fn enqueue(&self, mut job: StageJob, to: usize, front: bool) {
+        let mut st = self.lock();
+        if st.dead[to] {
+            let e = self.degraded(&st.dead);
+            drop(st);
+            return self.conclude(&job.reply, Err(e));
+        }
+        job.stage_enqueued = Instant::now();
+        match (to, front) {
+            (0, _) => st.push_entry(job, front),
+            (_, true) => st.queues[to].push_front(job),
+            (_, false) => st.queues[to].push_back(job),
+        }
+        drop(st);
+        self.ready.notify_all();
+    }
+
     fn degraded(&self, dead: &[bool]) -> ServeError {
         ServeError::Degraded {
             healthy: dead.iter().filter(|d| !**d).count(),
@@ -471,36 +463,13 @@ impl PipeShared {
         }
     }
 
-    /// Count CoDel ladder transitions.
-    fn apply_level_changes(&self, changes: &[LevelChange]) {
-        for change in changes {
-            match change {
-                LevelChange::Escalated(_) => self.stats.brownout_escalations.fetch_add(1, Ordering::Relaxed),
-                LevelChange::Deescalated(_) => self.stats.brownout_deescalations.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-    }
-
-    /// Fold a healthy stage pass into the stage's ns-per-cycle EWMA.
-    /// Single-writer (each stage's own worker), so load-modify-store is
-    /// race-free.
-    fn observe_stage_timing(&self, stage: usize, predicted: u64, wall: Duration) {
-        if predicted == 0 {
-            return;
-        }
-        let obs = wall.as_nanos() as f64 / predicted as f64;
-        let n = self.calib_samples[stage].fetch_add(1, Ordering::Relaxed);
-        let bits = &self.calib_ns_bits[stage];
-        let old = f64::from_bits(bits.load(Ordering::Relaxed));
-        let new = if n == 0 { obs } else { old + EWMA_ALPHA * (obs - old) };
-        bits.store(new.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The stage's calibrated ns-per-cycle estimate; `None` until enough
-    /// healthy passes accumulated (the watchdog never arms on noise).
-    fn stage_ns_per_cycle(&self, stage: usize) -> Option<f64> {
-        (self.calib_samples[stage].load(Ordering::Relaxed) >= CALIBRATION_MIN_SAMPLES)
-            .then(|| f64::from_bits(self.calib_ns_bits[stage].load(Ordering::Relaxed)))
+    /// Count one CoDel ladder transition.
+    fn apply_level_change(&self, change: LevelChange) {
+        let counter = match change {
+            LevelChange::Escalated(_) => &self.stats.brownout_escalations,
+            LevelChange::Deescalated(_) => &self.stats.brownout_deescalations,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -531,8 +500,6 @@ impl PipeShared {
 pub struct Pipeline {
     shared: Arc<PipeShared>,
     handles: Vec<JoinHandle<()>>,
-    /// The stage-watchdog thread; only spawned when `watchdog_slack > 0`.
-    watchdog_handle: Option<JoinHandle<()>>,
 }
 
 impl Pipeline {
@@ -598,8 +565,7 @@ impl Pipeline {
             weights,
             watchdog: Watchdog::new(stages),
             frac_after,
-            calib_ns_bits: (0..stages).map(|_| AtomicU64::new(0)).collect(),
-            calib_samples: (0..stages).map(|_| AtomicU64::new(0)).collect(),
+            ns_per_cycle: (0..stages).map(|_| NsPerCycle::default()).collect(),
             config,
         });
         let handles = (0..stages)
@@ -613,22 +579,12 @@ impl Pipeline {
                     .expect("spawn stage worker")
             })
             .collect();
-        let watchdog_handle = (shared.config.watchdog_slack > 0.0).then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("npcgra-serve-pipe-watchdog".to_string())
-                .spawn(move || {
-                    shared.watchdog.run(|_stage| {
-                        shared.stats.watchdog_preemptions.fetch_add(1, Ordering::Relaxed);
-                    });
-                })
-                .expect("spawn pipeline watchdog")
+        let fired = Arc::clone(&shared);
+        let slack = shared.config.watchdog_slack;
+        shared.watchdog.spawn("npcgra-serve-pipe-watchdog", slack, move |_stage| {
+            fired.stats.watchdog_preemptions.fetch_add(1, Ordering::Relaxed);
         });
-        Ok(Pipeline {
-            shared,
-            handles,
-            watchdog_handle,
-        })
+        Ok(Pipeline { shared, handles })
     }
 
     /// Submit one inference; the [`Ticket`] redeems the final-stage output.
@@ -698,28 +654,12 @@ impl Pipeline {
         // because every stage that is *not* the bottleneck pops its jobs
         // near-instantly.
         let oldest = st.oldest_head();
-        let level = if let Some(ctrl) = st.controller.as_mut() {
-            let mut changes = Vec::new();
-            match oldest {
-                Some(oldest) => ctrl.observe(now, now.duration_since(oldest), &mut changes),
-                None => ctrl.tick(now, &mut changes),
-            }
-            let level = ctrl.level();
-            shared.apply_level_changes(&changes);
-            level
-        } else {
-            BrownoutLevel::Normal
-        };
-        if level.sheds(class) {
-            drop(st);
-            shared.stats.overload_sheds[class.index()].fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded { level, class });
-        }
+        let level = brownout_step(st.controller.as_mut(), now, oldest, |c| shared.apply_level_change(c));
         // NOTE: `level.rejects_uncached()` is inert here by construction —
         // the pipeline serves exactly one model, compiled at start, so
         // every submit is a cache hit. The in-flight cap is the pipeline's
         // analogue: under deep brownout, bound the deepest stage queue.
-        if level.caps_inflight() && st.max_stage_depth() >= self.stage_inflight_cap() {
+        if level.sheds(class) || (level.caps_inflight() && st.max_stage_depth() >= self.stage_inflight_cap()) {
             drop(st);
             shared.stats.overload_sheds[class.index()].fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded { level, class });
@@ -797,9 +737,6 @@ impl Pipeline {
         }
         // Stage workers are drained; nothing is (or can become) armed.
         self.shared.watchdog.shutdown();
-        if let Some(h) = self.watchdog_handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -811,20 +748,12 @@ impl Drop for Pipeline {
     }
 }
 
-/// One stage's worker: its backend, restart/spare ladders, backoff stream
+/// One stage's worker: its fault domain (backend, restart→spare ladder)
 /// and one-shot chaos trigger latches.
 struct StageWorker<'a> {
     shared: &'a PipeShared,
     stage: usize,
-    backend: Box<dyn ExecutionBackend>,
-    /// Restarts charged against the budget since the last failover.
-    restarts: u32,
-    spares_used: usize,
-    /// Monotonic rebuild ordinal (never reset) — the fault-plan seed mix,
-    /// so every rebuilt or spare shard draws a fresh fault stream.
-    rebuilds: u64,
-    backoff_rng: u64,
-    prev_backoff: Duration,
+    domain: FaultDomain,
     kill_fired: bool,
     wedge_fired: bool,
     corrupt_fired: bool,
@@ -837,39 +766,6 @@ fn fires(trigger: Option<StageFault>, stage: usize, job: u64, fired: &mut bool) 
     }
     *fired = true;
     true
-}
-
-/// A fresh backend for stage `stage`, rebuild ordinal `generation`:
-/// the configured tier and integrity mode, plus the chaos fault plan when
-/// one is configured (seed mixed per stage and generation, the same
-/// convention as the batch supervisor's shards).
-fn build_stage_backend(config: &ServeConfig, stage: usize, generation: u64) -> Box<dyn ExecutionBackend> {
-    let mut backend = backend_for(config.backend_tier, &config.spec);
-    backend.set_integrity_mode(SHARD_INTEGRITY);
-    backend.set_fault_plan(stage_fault_plan(config, stage, generation));
-    backend
-}
-
-fn stage_fault_plan(config: &ServeConfig, stage: usize, generation: u64) -> Option<FaultPlan> {
-    let chaos = &config.chaos;
-    let seed = chaos.fault_seed?;
-    if chaos.fault_rate <= 0.0 && chaos.gray_rate <= 0.0 {
-        return None;
-    }
-    let mix = seed ^ (stage as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ generation.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    Some(if chaos.gray_rate > 0.0 {
-        FaultPlan::gray(
-            mix,
-            chaos.fault_rate,
-            GrayRates {
-                rate: chaos.gray_rate,
-                stall_cycles: chaos.gray_stall_cycles,
-                slowdown_factor: chaos.gray_slowdown_factor,
-            },
-        )
-    } else {
-        FaultPlan::bernoulli(mix, chaos.fault_rate)
-    })
 }
 
 /// The typed failure a handoff-checksum mismatch surfaces as: an integrity
@@ -889,27 +785,12 @@ fn handoff_error(stage: usize, expected: u64, actual: u64) -> ServeError {
     })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 impl<'a> StageWorker<'a> {
     fn new(shared: &'a PipeShared, stage: usize) -> Self {
         StageWorker {
             shared,
             stage,
-            backend: build_stage_backend(&shared.config, stage, 0),
-            restarts: 0,
-            spares_used: 0,
-            rebuilds: 0,
-            backoff_rng: backoff_seed(stage),
-            prev_backoff: shared.config.restart_backoff,
+            domain: FaultDomain::new(&shared.config, stage, shared.config.stage_spares),
             kill_fired: false,
             wedge_fired: false,
             corrupt_fired: false,
@@ -994,31 +875,24 @@ impl<'a> StageWorker<'a> {
         let kill = fires(cfg.chaos.stage_kill, s, job.id, &mut self.kill_fired);
         let wedge = fires(cfg.chaos.stage_wedge, s, job.id, &mut self.wedge_fired);
         if wedge {
-            self.backend.set_fault_plan(Some(FaultPlan::explicit(vec![Fault {
+            self.domain.backend().set_fault_plan(Some(FaultPlan::explicit(vec![Fault {
                 tile: 0,
                 cycle: 1,
                 site: FaultSite::Temporal(TemporalFault::Wedge),
             }])));
         }
         // Stage watchdog: once this stage's ns-per-cycle estimate has
-        // calibrated, arm a wall deadline over the whole stage pass. The
-        // watchdog thread cancels the run's token past it; the run surfaces
-        // [`ServeError::Preempted`] and walks the restart→spare ladder.
+        // calibrated, arm a wall deadline over the whole stage pass. A run
+        // cancelled past it surfaces [`ServeError::Preempted`] and walks
+        // the restart→spare ladder.
         let predicted = shared.model.stages()[s].predicted_cycles();
-        let slack = cfg.watchdog_slack;
-        let armed = if slack > 0.0 && predicted > 0 {
-            shared.stage_ns_per_cycle(s).map(|ns| {
-                let wall = Duration::from_nanos((predicted as f64 * ns * slack) as u64).max(WATCHDOG_FLOOR);
-                let token = CancelToken::new();
-                self.backend.set_cancel_token(Some(token.clone()));
-                shared.watchdog.arm(s, Instant::now() + wall, token);
-            })
-        } else {
-            None
-        };
+        let ns = shared.ns_per_cycle[s].get();
+        let token = shared.watchdog.arm(s, predicted, ns, cfg.watchdog_slack);
+        let armed = token.is_some();
+        self.domain.backend().set_cancel_token(token);
         let budget_mult = if cfg.cycle_budget > 0.0 {
             cfg.cycle_budget
-        } else if wedge && armed.is_none() {
+        } else if wedge && !armed {
             // No budget and no armed watchdog: fall back so the injected
             // wedge still surfaces as a typed preemption. With the watchdog
             // armed the wedge is caught on the wall clock instead — the
@@ -1031,7 +905,7 @@ impl<'a> StageWorker<'a> {
         // Run the stage's layers under supervision.
         let started = Instant::now();
         let layers = shared.model.stages()[s].layers();
-        let backend = self.backend.as_mut();
+        let backend = self.domain.backend();
         let activation = &job.activation;
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(Tensor, Vec<LayerReport>), ServeError> {
             assert!(!kill, "chaos: injected stage kill");
@@ -1039,31 +913,26 @@ impl<'a> StageWorker<'a> {
             let mut reports = Vec::with_capacity(layers.len());
             for i in layers.clone() {
                 let compiled = shared.model.layer(i);
-                let block_cycles = compiled.block_compute_cycles();
-                backend.set_cycle_budget((budget_mult > 0.0 && block_cycles > 0).then(|| {
-                    // Per run_block call; +1 keeps an exact-cost run inside.
-                    ((block_cycles as f64 * budget_mult).ceil() as u64).max(block_cycles + 1)
-                }));
+                backend.set_cycle_budget(cycle_budget(compiled.block_compute_cycles(), budget_mult));
                 let (out, report) = backend.run_layer(compiled, &act, &shared.weights[i])?;
                 reports.push(report);
                 act = out;
             }
             Ok((act, reports))
         }));
-        if armed.is_some() {
+        if armed {
             shared.watchdog.disarm(s);
-            self.backend.set_cancel_token(None);
         }
         if wedge {
             // Put the configured (non-wedge) plan back for later passes.
-            self.backend.set_fault_plan(stage_fault_plan(cfg, s, self.rebuilds));
+            self.domain.restore_fault_plan(cfg);
         }
 
         match outcome {
             Ok(Ok((out, reports))) => {
                 // A healthy pass is a calibration sample for the stage's
                 // ns-per-cycle estimate.
-                shared.observe_stage_timing(s, predicted, started.elapsed());
+                shared.ns_per_cycle[s].observe(predicted, started.elapsed());
                 self.forward(job, out, reports);
                 true
             }
@@ -1113,17 +982,7 @@ impl<'a> StageWorker<'a> {
         let hand = shared.model.handoff_cycles(s);
         job.handoff_cycles += hand;
         shared.stats.handoff_cycles.fetch_add(hand, Ordering::Relaxed);
-        let mut st = shared.lock();
-        if st.dead[s + 1] {
-            let e = shared.degraded(&st.dead);
-            drop(st);
-            shared.conclude(&job.reply, Err(e));
-            return;
-        }
-        job.stage_enqueued = Instant::now();
-        st.queues[s + 1].push_back(job);
-        drop(st);
-        shared.ready.notify_all();
+        shared.enqueue(job, s + 1, false);
     }
 
     /// Handle a failed pass per its [`RetryClass`]: reply finally, or heal
@@ -1137,9 +996,18 @@ impl<'a> StageWorker<'a> {
                 true
             }
             RetryClass::Retry | RetryClass::RebuildAndRetry => {
-                if class == RetryClass::RebuildAndRetry && !self.rebuild_or_die() {
-                    self.die(job);
-                    return false;
+                if class == RetryClass::RebuildAndRetry {
+                    // Walk the domain's ladder, counting a restart or a
+                    // failover; with budget and spares exhausted, die.
+                    let counters = match self.domain.rebuild(&shared.config) {
+                        Rebuilt::Restarted => &shared.stats.stage_restarts,
+                        Rebuilt::FailedOver => &shared.stats.stage_failovers,
+                        Rebuilt::Exhausted => {
+                            self.die(job);
+                            return false;
+                        }
+                    };
+                    counters[self.stage].fetch_add(1, Ordering::Relaxed);
                 }
                 job.attempts += 1;
                 if job.attempts > shared.config.max_retries {
@@ -1154,18 +1022,10 @@ impl<'a> StageWorker<'a> {
                     return true;
                 }
                 self.heal(&mut job);
-                let mut st = shared.lock();
                 // Healing may target an earlier stage; hand the job to that
                 // queue's front so recovery preempts fresh work.
                 let b = job.checkpoints.last().map_or(0, |(b, _, _)| *b);
-                job.stage_enqueued = Instant::now();
-                if b == 0 {
-                    st.push_entry(job, true);
-                } else {
-                    st.queues[b].push_front(job);
-                }
-                drop(st);
-                shared.ready.notify_all();
+                shared.enqueue(job, b, true);
                 true
             }
         }
@@ -1192,36 +1052,6 @@ impl<'a> StageWorker<'a> {
             shared.stats.stage_replays[x].fetch_add(1, Ordering::Relaxed);
         }
         shared.stats.checkpoint_restores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Walk the restart ladder after a rebuild-class failure: rebuild under
-    /// the restart budget (with decorrelated-jitter backoff), fail over to
-    /// a spare shard past it, and report `false` with everything exhausted.
-    fn rebuild_or_die(&mut self) -> bool {
-        let shared = self.shared;
-        let cfg = &shared.config;
-        let s = self.stage;
-        self.restarts += 1;
-        if self.restarts > cfg.restart_budget {
-            if self.spares_used >= cfg.stage_spares {
-                return false;
-            }
-            self.spares_used += 1;
-            self.restarts = 0;
-            shared.stats.stage_failovers[s].fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.stats.stage_restarts[s].fetch_add(1, Ordering::Relaxed);
-        }
-        let base = cfg.restart_backoff;
-        if !base.is_zero() {
-            self.backoff_rng = splitmix64(self.backoff_rng);
-            let backoff = decorrelated_backoff(base, base * 64, self.prev_backoff, self.backoff_rng);
-            self.prev_backoff = backoff;
-            std::thread::sleep(backoff);
-        }
-        self.rebuilds += 1;
-        self.backend = build_stage_backend(cfg, s, self.rebuilds);
-        true
     }
 
     /// Retire this stage: flag it dead, shed its queue and the in-hand job
@@ -1277,15 +1107,18 @@ mod tests {
         ServeConfig::for_spec(spec).with_restart_backoff(Duration::ZERO)
     }
 
+    /// What the reference layer chain makes of `input`.
+    fn golden(layers: &[ConvLayer], weights: &[Tensor], input: &Tensor) -> Tensor {
+        let run = |act: Tensor, (l, w)| npcgra_nn::reference::run_layer(l, &act, w).unwrap();
+        layers.iter().zip(weights).fold(input.clone(), run)
+    }
+
     #[test]
     fn pipeline_serves_bit_exact_end_to_end() {
         let (model, weights, layers) = small_model(2);
         let cfg = config(model.spec());
         let input = Tensor::random(3, 8, 8, 77);
-        let mut golden = input.clone();
-        for (l, w) in layers.iter().zip(&weights) {
-            golden = npcgra_nn::reference::run_layer(l, &golden, w).unwrap();
-        }
+        let golden = golden(&layers, &weights, &input);
         let pipe = Pipeline::start(cfg, model, weights).unwrap();
         let ticket = pipe.submit(input).unwrap();
         let response = ticket.wait().unwrap();
@@ -1347,16 +1180,7 @@ mod tests {
             .with_checkpoint_every(1);
         cfg.chaos.stage_kill = Some(StageFault { stage: 1, job: 1 });
         let inputs: Vec<Tensor> = (0..3).map(|i| Tensor::random(3, 8, 8, 100 + i)).collect();
-        let goldens: Vec<Tensor> = inputs
-            .iter()
-            .map(|input| {
-                let mut g = input.clone();
-                for (l, w) in layers.iter().zip(&weights) {
-                    g = npcgra_nn::reference::run_layer(l, &g, w).unwrap();
-                }
-                g
-            })
-            .collect();
+        let goldens: Vec<Tensor> = inputs.iter().map(|input| golden(&layers, &weights, input)).collect();
         let pipe = Pipeline::start(cfg, model, weights).unwrap();
         let tickets: Vec<Ticket> = inputs.into_iter().map(|i| pipe.submit(i).unwrap()).collect();
         for (t, golden) in tickets.into_iter().zip(&goldens) {
@@ -1403,6 +1227,47 @@ mod tests {
     }
 
     #[test]
+    fn heal_onto_a_dead_stage_sheds_instead_of_stranding() {
+        let (model, weights, _) = small_model(2);
+        let pipe = Pipeline::start(config(model.spec()), model, weights).unwrap();
+        // Stage 0 has died since this job passed it; the job reaches stage
+        // 1 with a bad handoff checksum, so healing targets boundary 0.
+        let input = Tensor::random(3, 8, 8, 3);
+        let sum = tensor_checksum(&input);
+        let (reply, ticket) = reply_pair();
+        let now = Instant::now();
+        let mut st = pipe.shared.lock();
+        st.dead[0] = true;
+        st.inflight += 1;
+        st.queues[1].push_back(StageJob {
+            id: 0,
+            checkpoints: vec![(0, input.clone(), sum)],
+            activation: input,
+            checksum: sum ^ 1,
+            attempts: 0,
+            reports: Vec::new(),
+            handoff_cycles: 0,
+            enqueued: now,
+            stage_enqueued: now,
+            class: Priority::Interactive,
+            deadline: None,
+            budget: Duration::ZERO,
+            reply,
+        });
+        drop(st);
+        pipe.shared.ready.notify_all();
+        let result = ticket.wait_timeout(Duration::from_secs(3));
+        if !matches!(result, Err(ServeError::Degraded { healthy: 1, workers: 2 })) {
+            // A job stranded in dead stage 0's queue also blocks `Drop`;
+            // leak the pipeline so this fails instead of hanging the suite.
+            std::mem::forget(pipe);
+            panic!("the healed job was not shed: {result:?}");
+        }
+        let stats = pipe.shutdown();
+        assert_eq!((stats.handoff_corruptions, stats.shed), (1, 1));
+    }
+
+    #[test]
     fn checkpoint_stride_replays_from_the_earlier_boundary() {
         let (model, _weights, _) = small_model(4);
         assert_eq!(model.num_stages(), 2, "two fused units cap the stage count");
@@ -1429,10 +1294,7 @@ mod tests {
         // 2, healing must land on boundary 2 and replay stages 2 and 3.
         cfg.chaos.stage_corrupt = Some(StageFault { stage: 3, job: 0 });
         let input = Tensor::random(3, 8, 8, 41);
-        let mut golden = input.clone();
-        for (l, w) in layers4.iter().zip(&weights4) {
-            golden = npcgra_nn::reference::run_layer(l, &golden, w).unwrap();
-        }
+        let golden = golden(&layers4, &weights4, &input);
         let pipe = Pipeline::start(cfg, model4, weights4).unwrap();
         let t = pipe.submit(input).unwrap();
         assert_eq!(t.wait().unwrap().output, golden);
@@ -1456,10 +1318,7 @@ mod tests {
             .with_stage_spares(1);
         cfg.chaos.stage_wedge = Some(StageFault { stage: 0, job: 0 });
         let input = Tensor::random(3, 8, 8, 9);
-        let mut golden = input.clone();
-        for (l, w) in layers.iter().zip(&weights) {
-            golden = npcgra_nn::reference::run_layer(l, &golden, w).unwrap();
-        }
+        let golden = golden(&layers, &weights, &input);
         let pipe = Pipeline::start(cfg, model, weights).unwrap();
         let t = pipe.submit(input).unwrap();
         assert_eq!(t.wait().unwrap().output, golden, "wedged inference healed bit-exact");

@@ -29,7 +29,7 @@ use crate::cache::ProgramCache;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::journal::{self, DedupEntry, DedupTable, JournalConfig, JournalWriter, Record, RecoveredAdmit, RecoveryReport};
-use crate::overload::{BrownoutLevel, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES, CLASS_WEIGHTS};
+use crate::overload::{brownout_step, LevelChange, OverloadController, Priority, WfqScheduler, CLASSES, CLASS_WEIGHTS};
 use crate::stats::{Stats, StatsSnapshot, WorkerExit};
 use crate::supervisor;
 use crate::watchdog::Watchdog;
@@ -384,7 +384,7 @@ pub(crate) struct QueueState {
     /// consistent count.
     pub(crate) healthy: usize,
     /// CoDel-style brownout controller; `None` when no delay target is
-    /// configured (the ladder stays at [`BrownoutLevel::Normal`]).
+    /// configured (the ladder stays at [`BrownoutLevel::Normal`](crate::BrownoutLevel::Normal)).
     pub(crate) controller: Option<OverloadController>,
     /// Weighted-fair scheduler arbitrating classes at batch formation.
     pub(crate) wfq: WfqScheduler,
@@ -420,6 +420,13 @@ impl QueueState {
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         stats.admitted_by_class[c].fetch_add(1, Ordering::Release);
         stats.observe_queue_depth(self.total as u64);
+    }
+
+    /// Empty every queue, handing back what was queued.
+    pub(crate) fn drain_all(&mut self) -> Vec<Pending> {
+        self.class_totals = [0; CLASSES];
+        self.total = 0;
+        self.queues.iter_mut().flatten().flat_map(|queue| queue.drain(..)).collect()
     }
 
     /// Remove `taken` requests of `class`, keeping totals consistent.
@@ -650,7 +657,7 @@ pub(crate) struct Shared {
     pub(crate) ready: Condvar,
     pub(crate) cache: ProgramCache,
     pub(crate) stats: Stats,
-    pub(crate) watchdog: Watchdog,
+    pub(crate) watchdog: Arc<Watchdog>,
     pub(crate) started: Instant,
     /// The crash-durability journal; `None` (the default) keeps every
     /// admission path byte-identical to a journal-less server.
@@ -664,9 +671,6 @@ pub(crate) struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<WorkerExit>>,
-    /// The liveness watchdog thread, spawned only when
-    /// [`ServeConfig::watchdog_slack`] is on; joined at shutdown.
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -744,22 +748,14 @@ impl Server {
                     .expect("spawn worker shard")
             })
             .collect();
-        let watchdog = (config.watchdog_slack > 0.0 && config.workers > 0).then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("npcgra-serve-watchdog".into())
-                .spawn(move || {
-                    // A fired slot is a preempted shard: charge its health
-                    // EWMA so hedge claims steer away from it.
-                    shared.watchdog.run(|worker| shared.stats.observe_health_sample(worker, 0.0));
-                })
-                .expect("spawn watchdog")
+        // A fired slot is a preempted shard: charge its health EWMA so
+        // hedge claims steer away from it.
+        let fired = Arc::clone(&shared);
+        let slack = config.watchdog_slack;
+        shared.watchdog.spawn("npcgra-serve-watchdog", slack, move |worker| {
+            fired.stats.observe_health_sample(worker, 0.0);
         });
-        Server {
-            shared,
-            workers,
-            watchdog,
-        }
+        Server { shared, workers }
     }
 
     /// Register a model (one DSC or standard layer with its weights) and
@@ -978,18 +974,7 @@ impl Server {
         // the controller close out elapsed windows, then apply whatever
         // rung of the brownout ladder is in force.
         let oldest = q.oldest_enqueued();
-        let level = match q.controller.as_mut() {
-            Some(ctrl) => {
-                let mut changes = Vec::new();
-                match oldest {
-                    Some(oldest) => ctrl.observe(now, now.duration_since(oldest), &mut changes),
-                    None => ctrl.tick(now, &mut changes),
-                }
-                apply_level_changes(&shared.stats, &changes);
-                ctrl.level()
-            }
-            None => BrownoutLevel::Normal,
-        };
+        let level = brownout_step(q.controller.as_mut(), now, oldest, |c| apply_level_change(&shared.stats, c));
         if level.sheds(class) {
             shared.stats.overload_sheds[class.index()].fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded { level, class });
@@ -1189,13 +1174,7 @@ impl Server {
             // Drop every queued request silently: their senders die here,
             // so stray tickets observe `WorkerLost`, exactly as a real
             // kill would look from outside the process.
-            for per_model in &mut q.queues {
-                for queue in per_model.iter_mut() {
-                    queue.clear();
-                }
-            }
-            q.class_totals = [0; CLASSES];
-            q.total = 0;
+            drop(q.drain_all());
             q.inflight.clear();
         }
         self.shared.ready.notify_all();
@@ -1203,9 +1182,6 @@ impl Server {
             let _ = handle.join();
         }
         self.shared.watchdog.shutdown();
-        if let Some(handle) = self.watchdog {
-            let _ = handle.join();
-        }
         self.shared.stats.snapshot(self.shared.started.elapsed(), 0)
     }
 
@@ -1230,20 +1206,11 @@ impl Server {
         // Workers are gone, so nothing can re-arm; stop the watchdog after
         // they drain so a wedged final batch is still preemptible.
         self.shared.watchdog.shutdown();
-        if let Some(handle) = self.watchdog {
-            let _ = handle.join();
-        }
         let mut q = supervisor::lock_queue(&self.shared);
-        for per_model in &mut q.queues {
-            for queue in per_model.iter_mut() {
-                while let Some(p) = queue.pop_front() {
-                    self.shared.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-                    settle(&self.shared, p.idem_key, &p.reply, Err(ServeError::ShuttingDown));
-                }
-            }
+        for p in q.drain_all() {
+            self.shared.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+            settle(&self.shared, p.idem_key, &p.reply, Err(ServeError::ShuttingDown));
         }
-        q.class_totals = [0; CLASSES];
-        q.total = 0;
         // Workers are joined; dropping any un-taken hedge clones releases
         // their extra senders (the primaries already replied or were shed).
         q.inflight.clear();
@@ -1274,21 +1241,14 @@ pub(crate) fn expected_weight_shape(layer: &ConvLayer) -> (usize, usize, usize) 
     }
 }
 
-/// Fold brownout-level transitions into the stats counters and gauge.
-pub(crate) fn apply_level_changes(stats: &Stats, changes: &[LevelChange]) {
-    for change in changes {
-        let level = match change {
-            LevelChange::Escalated(level) => {
-                stats.brownout_escalations.fetch_add(1, Ordering::Relaxed);
-                *level
-            }
-            LevelChange::Deescalated(level) => {
-                stats.brownout_deescalations.fetch_add(1, Ordering::Relaxed);
-                *level
-            }
-        };
-        stats.set_brownout_level(level);
-    }
+/// Fold one brownout-level transition into the stats counters and gauge.
+fn apply_level_change(stats: &Stats, change: LevelChange) {
+    let (counter, level) = match change {
+        LevelChange::Escalated(level) => (&stats.brownout_escalations, level),
+        LevelChange::Deescalated(level) => (&stats.brownout_deescalations, level),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    stats.set_brownout_level(level);
 }
 
 /// Publish a batch on the hedging board before its primary executes, so an
@@ -1372,15 +1332,7 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
         }
         // 2. Let the brownout controller close out elapsed windows even
         // when no submissions are arriving to drive it.
-        let level = match q.controller.as_mut() {
-            Some(ctrl) => {
-                let mut changes = Vec::new();
-                ctrl.tick(now, &mut changes);
-                apply_level_changes(&shared.stats, &changes);
-                ctrl.level()
-            }
-            None => BrownoutLevel::Normal,
-        };
+        let level = brownout_step(q.controller.as_mut(), now, None, |c| apply_level_change(&shared.stats, c));
         let cap = level.batch_cap(config.max_batch);
         let lifo = level.lifo();
         let batch_ready = |dq: &VecDeque<Pending>| -> bool {
@@ -1428,15 +1380,10 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
             };
             q.debit(c, take);
             q.wfq.charge(class, take);
-            if let Some(ctrl) = q.controller.as_mut() {
-                // Dequeue-side CoDel sample: the batch's *minimum* sojourn
-                // (the standing-delay signal CoDel keys on).
-                if let Some(min_wait) = items.iter().map(|p| now.duration_since(p.enqueued)).min() {
-                    let mut changes = Vec::new();
-                    ctrl.observe(now, min_wait, &mut changes);
-                    apply_level_changes(&shared.stats, &changes);
-                }
-            }
+            // Dequeue-side CoDel sample: the batch's *minimum* sojourn (the
+            // standing-delay signal CoDel keys on) — its youngest member's.
+            let youngest = items.iter().map(|p| p.enqueued).max();
+            brownout_step(q.controller.as_mut(), now, youngest, |c| apply_level_change(&shared.stats, c));
             return Some(Work::Batch {
                 model: ModelId(m),
                 pendings: items,

@@ -45,16 +45,54 @@ const LATENCY_BUCKETS: usize = 48;
 /// Fixed-point scale for the per-shard health EWMA (six decimal digits).
 const HEALTH_SCALE: f64 = 1e6;
 
-/// Healthy batch timings required before the ns-per-cycle estimate (and
-/// therefore the watchdog's wall deadline) is trusted. Shared with the
-/// pipeline's per-stage calibration so both watchdogs arm on the same
-/// evidence bar.
-pub(crate) const CALIBRATION_MIN_SAMPLES: u64 = 4;
+/// Healthy run timings required before an [`NsPerCycle`] estimate (and
+/// therefore the watchdog's wall deadline) is trusted.
+const CALIBRATION_MIN_SAMPLES: u64 = 4;
 
-/// Smoothing factor of the ns-per-cycle calibration EWMAs (per tier here,
-/// per stage in the pipeline) and of the per-shard health EWMA that steers
-/// hedge-target selection toward the healthiest shard.
-pub(crate) const EWMA_ALPHA: f64 = 0.2;
+/// Smoothing factor of the [`NsPerCycle`] calibration EWMAs and of the
+/// per-shard health EWMA that steers hedge-target selection toward the
+/// healthiest shard.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// Observed wall nanoseconds per predicted compute cycle — the watchdog's
+/// cycles→wall conversion factor — as an EWMA over healthy runs. A
+/// `Server` keeps one per backend tier, a `Pipeline` one per stage.
+#[derive(Debug, Default)]
+pub(crate) struct NsPerCycle {
+    /// The estimate, as `f64` bits.
+    bits: AtomicU64,
+    samples: AtomicU64,
+}
+
+impl NsPerCycle {
+    /// Fold in one healthy run predicted at `predicted` cycles that took
+    /// `wall` (load-then-store: a lost race between two writers drops one
+    /// sample, which the EWMA absorbs).
+    pub(crate) fn observe(&self, predicted: u64, wall: Duration) {
+        if predicted == 0 {
+            return;
+        }
+        let obs = wall.as_nanos() as f64 / predicted as f64;
+        let old = f64::from_bits(self.bits.load(Ordering::Relaxed));
+        let new = if self.samples.fetch_add(1, Ordering::Relaxed) == 0 {
+            obs
+        } else {
+            old + EWMA_ALPHA * (obs - old)
+        };
+        self.bits.store(new.to_bits(), Ordering::Relaxed);
+    }
+
+    /// The calibrated estimate; `None` until enough healthy runs have been
+    /// timed, or while the estimate is not positive — an unarmed watchdog
+    /// beats a trigger-happy one.
+    pub(crate) fn get(&self) -> Option<f64> {
+        if self.samples.load(Ordering::Relaxed) < CALIBRATION_MIN_SAMPLES {
+            return None;
+        }
+        let v = f64::from_bits(self.bits.load(Ordering::Relaxed));
+        (v > 0.0).then_some(v)
+    }
+}
 
 /// Per-tenant outcome counters, written by a front-end (e.g.
 /// `npcgra-net`) through its [`TenantHandle`]. Writes use `Release` and
@@ -176,15 +214,12 @@ pub(crate) struct Stats {
     /// 1.0 = every batch lands within its predicted time; preemptions and
     /// gross slowdowns pull it toward 0.
     health_score: Vec<AtomicU64>,
-    /// Observed wall nanoseconds per predicted compute cycle, as `f64`
-    /// bits — the watchdog's cycles→wall conversion factor. One EWMA per
-    /// backend tier (indexed by [`BackendTier::index`]): the fast tier runs
-    /// orders of magnitude more cycles per wall second, so sharing one
-    /// estimate across a tier switch would arm absurd deadlines and
-    /// preempt honest batches.
-    ns_per_cycle_bits: [AtomicU64; BackendTier::COUNT],
-    /// Batch timings folded into each tier's ns-per-cycle estimate so far.
-    calibration_samples: [AtomicU64; BackendTier::COUNT],
+    /// One calibration per backend tier (indexed by
+    /// [`BackendTier::index`]): the fast tier runs orders of magnitude more
+    /// cycles per wall second, so sharing one estimate across a tier switch
+    /// would arm absurd deadlines and preempt honest batches — and a
+    /// freshly switched tier starts uncalibrated.
+    pub(crate) ns_per_cycle: [NsPerCycle; BackendTier::COUNT],
     /// Compute+DMA cycles charged by successful runs, per backend tier.
     cycles_charged: [AtomicU64; BackendTier::COUNT],
     /// Fast-tier batches replayed on a scratch cycle-accurate machine.
@@ -261,8 +296,7 @@ impl Stats {
             hedge_losses: AtomicU64::new(0),
             watchdog_preemptions: AtomicU64::new(0),
             health_score: (0..workers).map(|_| AtomicU64::new(HEALTH_SCALE as u64)).collect(),
-            ns_per_cycle_bits: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
-            calibration_samples: std::array::from_fn(|_| AtomicU64::new(0)),
+            ns_per_cycle: Default::default(),
             cycles_charged: std::array::from_fn(|_| AtomicU64::new(0)),
             cross_checks: AtomicU64::new(0),
             cross_check_failed: AtomicU64::new(0),
@@ -379,38 +413,6 @@ impl Stats {
 
     pub(crate) fn mark_shard_dead(&self, worker: usize) {
         self.shard_dead[worker].store(true, Ordering::Relaxed);
-    }
-
-    /// Fold one executed batch's timing into `tier`'s ns-per-cycle EWMA
-    /// that converts predicted compute cycles into a wall-clock deadline.
-    /// The update is load-then-store (a lost race drops one sample, which
-    /// the EWMA absorbs).
-    pub(crate) fn observe_run_timing(&self, tier: BackendTier, predicted_cycles: u64, wall: Duration) {
-        if predicted_cycles == 0 {
-            return;
-        }
-        let t = tier.index();
-        let obs = wall.as_nanos() as f64 / predicted_cycles as f64;
-        let old = f64::from_bits(self.ns_per_cycle_bits[t].load(Ordering::Relaxed));
-        let new = if self.calibration_samples[t].fetch_add(1, Ordering::Relaxed) == 0 {
-            obs
-        } else {
-            old + EWMA_ALPHA * (obs - old)
-        };
-        self.ns_per_cycle_bits[t].store(new.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The calibrated ns-per-cycle estimate for `tier`, or `None` until
-    /// enough healthy batches have been timed on that tier — an unarmed
-    /// watchdog beats a trigger-happy one, and a freshly switched tier
-    /// starts uncalibrated rather than inheriting the other tier's slope.
-    pub(crate) fn ns_per_cycle(&self, tier: BackendTier) -> Option<f64> {
-        let t = tier.index();
-        if self.calibration_samples[t].load(Ordering::Relaxed) < CALIBRATION_MIN_SAMPLES {
-            return None;
-        }
-        let v = f64::from_bits(self.ns_per_cycle_bits[t].load(Ordering::Relaxed));
-        (v > 0.0).then_some(v)
     }
 
     /// Account the cycles a successful run charged against its tier.
@@ -531,7 +533,7 @@ impl Stats {
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             duplicate_executions: self.duplicate_executions.load(Ordering::Relaxed),
             shard_health_score: (0..self.health_score.len()).map(|w| self.health_score(w)).collect(),
-            ns_per_cycle: std::array::from_fn(|t| self.ns_per_cycle(BackendTier::ALL[t]).unwrap_or(0.0)),
+            ns_per_cycle: std::array::from_fn(|t| self.ns_per_cycle[t].get().unwrap_or(0.0)),
             cycles_charged: std::array::from_fn(|t| self.cycles_charged[t].load(Ordering::Relaxed)),
             cross_checks: self.cross_checks.load(Ordering::Relaxed),
             cross_check_failed: self.cross_check_failed.load(Ordering::Relaxed),
@@ -1092,21 +1094,24 @@ mod tests {
 
     #[test]
     fn ns_per_cycle_calibrates_after_min_samples() {
-        let s = Stats::new(1, 4);
-        let tier = BackendTier::CycleAccurate;
-        assert_eq!(s.ns_per_cycle(tier), None);
+        let cell = NsPerCycle::default();
         // 1000 predicted cycles in 2 µs → 2 ns/cycle, four times over.
-        for _ in 0..4 {
-            s.observe_run_timing(tier, 1000, Duration::from_micros(2));
+        for n in 0..4 {
+            assert_eq!(cell.get(), None, "uncalibrated after {n} samples");
+            cell.observe(1000, Duration::from_micros(2));
         }
-        let v = s.ns_per_cycle(tier).expect("calibrated after 4 samples");
+        let v = cell.get().expect("calibrated after 4 samples");
         assert!((v - 2.0).abs() < 1e-9, "steady input converges exactly, got {v}");
         // Zero predicted cycles is ignored rather than dividing by zero.
-        s.observe_run_timing(tier, 0, Duration::from_secs(1));
-        assert!((s.ns_per_cycle(tier).unwrap() - 2.0).abs() < 1e-9);
-        let snap = s.snapshot(Duration::from_secs(1), 0);
-        assert!((snap.ns_per_cycle[tier.index()] - 2.0).abs() < 1e-9);
-        assert!(snap.to_string().contains("liveness:"));
+        cell.observe(0, Duration::from_secs(1));
+        assert!((cell.get().unwrap() - 2.0).abs() < 1e-9);
+        // Zero-duration samples calibrate a 0.0 slope, which must never arm
+        // a deadline (it would be the bare floor, whatever was predicted).
+        let zero = NsPerCycle::default();
+        for _ in 0..4 {
+            zero.observe(1000, Duration::ZERO);
+        }
+        assert_eq!(zero.get(), None, "a non-positive estimate stays uncalibrated");
     }
 
     #[test]
@@ -1117,14 +1122,18 @@ mod tests {
         // magnitude and preempt honest batches.
         let s = Stats::new(1, 4);
         for _ in 0..4 {
-            s.observe_run_timing(BackendTier::CycleAccurate, 1000, Duration::from_micros(2));
+            s.ns_per_cycle[BackendTier::CycleAccurate.index()].observe(1000, Duration::from_micros(2));
         }
-        assert_eq!(s.ns_per_cycle(BackendTier::Fast), None, "fast tier starts uncalibrated");
+        assert_eq!(
+            s.ns_per_cycle[BackendTier::Fast.index()].get(),
+            None,
+            "fast tier starts uncalibrated"
+        );
         for _ in 0..4 {
-            s.observe_run_timing(BackendTier::Fast, 1000, Duration::from_nanos(20));
+            s.ns_per_cycle[BackendTier::Fast.index()].observe(1000, Duration::from_nanos(20));
         }
-        assert!((s.ns_per_cycle(BackendTier::CycleAccurate).unwrap() - 2.0).abs() < 1e-9);
-        assert!((s.ns_per_cycle(BackendTier::Fast).unwrap() - 0.02).abs() < 1e-9);
+        assert!((s.ns_per_cycle[BackendTier::CycleAccurate.index()].get().unwrap() - 2.0).abs() < 1e-9);
+        assert!((s.ns_per_cycle[BackendTier::Fast.index()].get().unwrap() - 0.02).abs() < 1e-9);
         let snap = s.snapshot(Duration::from_secs(1), 0);
         assert!((snap.ns_per_cycle[0] - 2.0).abs() < 1e-9);
         assert!((snap.ns_per_cycle[1] - 0.02).abs() < 1e-9);

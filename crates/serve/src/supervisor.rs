@@ -5,9 +5,9 @@
 //! [`catch_unwind`](std::panic::catch_unwind), with the requests' reply
 //! channels held *outside* the unwind boundary — a panicking execution can
 //! therefore never strand a [`Ticket`](crate::Ticket). After a caught
-//! panic the supervisor rebuilds the shard's execution backend (simulator
-//! state mid-panic is unspecified), charges one unit of the shard's restart
-//! budget, and backs off exponentially before the next batch. A shard that
+//! panic the supervisor walks the shard's [`FaultDomain`] ladder — rebuild
+//! the execution backend (simulator state mid-panic is unspecified) under
+//! the restart budget, after a decorrelated-jitter backoff. A shard that
 //! exhausts its budget is retired: the healthy-shard count (kept under the
 //! queue lock, so admission control sees it consistently) drops, and at
 //! zero healthy shards the queue is drained with
@@ -21,16 +21,16 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard, PoisonError, RwLockReadGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use npcgra_nn::{ConvKind, ConvLayer, Tensor};
 use npcgra_sim::{
-    backend_for, run_standard_via_im2col, BackendTier, CancelToken, CompiledLayer, ExecutionBackend, FaultPlan, GrayRates,
-    IntegrityMode, LayerReport, Machine, MappingKind, SimCause, SimError,
+    run_standard_via_im2col, BackendTier, CompiledLayer, ExecutionBackend, LayerReport, Machine, MappingKind, SimCause, SimError,
 };
 
 use crate::batch;
 use crate::config::CrossCheckCorruption;
+use crate::domain::{cycle_budget, panic_message, FaultDomain, Rebuilt};
 use crate::error::{RetryClass, ServeError};
 use crate::overload::{self, BreakerDecision, BreakerEvent, CircuitBreaker};
 use crate::retry;
@@ -39,12 +39,6 @@ use crate::server::{
     Work,
 };
 use crate::stats::WorkerExit;
-
-/// ABFT output verification every shard backend runs under, in both
-/// lifecycles: silent corruption becomes a typed, retryable
-/// [`ServeError::Integrity`] instead of a wrong reply; on fault-free
-/// hardware the checks always pass and cost O(output) host work per block.
-pub(crate) const SHARD_INTEGRITY: IntegrityMode = IntegrityMode::Verify;
 
 /// Lock the shared queue, adopting (not propagating) poisoned state.
 pub(crate) fn lock_queue(shared: &Shared) -> MutexGuard<'_, QueueState> {
@@ -56,18 +50,17 @@ pub(crate) fn read_models(shared: &Shared) -> RwLockReadGuard<'_, Vec<ModelEntry
     shared.models.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One worker's supervised execution state: its execution backend, its
-/// restart budget, and the armed chaos triggers.
+/// One worker's supervised execution state: its fault domain and the
+/// armed chaos triggers.
 pub(crate) struct Shard {
     pub(crate) worker: usize,
     /// The tiered execution backend — the cycle-accurate [`Machine`] or the
-    /// functional fast tier, per [`ServeConfig::backend_tier`](crate::ServeConfig).
-    backend: Box<dyn ExecutionBackend>,
+    /// functional fast tier, per [`ServeConfig::backend_tier`](crate::ServeConfig)
+    /// — and its restart ladder, without spares.
+    domain: FaultDomain,
     /// The most recent clean fast-tier batch, held for the periodic
     /// cycle-accurate cross-check replay (fast tier only).
     last_fast_sample: Option<FastSample>,
-    /// Restarts consumed so far (== caught panics survived).
-    restarts: u32,
     /// One-shot chaos trigger: panic inside the next supervised execution.
     panic_armed: bool,
     /// The shard's canary self-test, when `canary_interval > 0`.
@@ -75,11 +68,6 @@ pub(crate) struct Shard {
     /// Consecutive canary failures; two retire the shard (one may be a
     /// transient fault that an immediate re-probe would clear).
     canary_strikes: u32,
-    /// Deterministic per-shard jitter stream for restart backoff (seeded
-    /// from the shard id, so shards never synchronize their retries).
-    backoff_rng: u64,
-    /// Previous restart backoff — the decorrelated-jitter recurrence input.
-    prev_backoff: Duration,
     /// Cleared when the restart budget runs out; the worker loop exits.
     pub(crate) alive: bool,
 }
@@ -129,16 +117,13 @@ impl Shard {
     pub(crate) fn new(shared: &Shared, worker: usize) -> Self {
         Shard {
             worker,
-            backend: build_backend(shared, worker, 0),
+            domain: FaultDomain::new(&shared.config, worker, 0),
             last_fast_sample: None,
-            restarts: 0,
             panic_armed: shared.config.chaos.panic_on_first_batch == Some(worker),
             canary: (shared.config.canary_interval > 0)
                 .then(|| CanaryProbe::build(shared))
                 .flatten(),
             canary_strikes: 0,
-            backoff_rng: backoff_seed(worker),
-            prev_backoff: shared.config.restart_backoff,
             alive: true,
         }
     }
@@ -149,7 +134,7 @@ impl Shard {
     fn run_canary(&mut self, shared: &Shared) {
         let Some(probe) = &self.canary else { return };
         shared.stats.canary_runs.fetch_add(1, Ordering::Relaxed);
-        let backend = self.backend.as_mut();
+        let backend = self.domain.backend();
         // The probe measures the backend, not the last batch's liveness
         // leftovers: a stale cancelled token must not fail it.
         backend.set_cancel_token(None);
@@ -217,7 +202,7 @@ impl Shard {
         // succeed, proving the restarted shard serves again.
         self.panic_armed = false;
         let worker = self.worker;
-        let backend = self.backend.as_mut();
+        let backend = self.domain.backend();
         let sample_slot = &mut self.last_fast_sample;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             assert!(!chaos_panic, "chaos: injected worker panic");
@@ -262,92 +247,20 @@ impl Shard {
         self.restart_or_retire(shared);
     }
 
-    /// Charge one restart: rebuild the backend after a decorrelated-jitter
-    /// backoff while budget remains, retire the shard otherwise.
+    /// Charge one restart: walk the domain's ladder (rebuild after a
+    /// decorrelated-jitter backoff while budget remains), retire the shard
+    /// when it is exhausted.
     fn restart_or_retire(&mut self, shared: &Shared) {
-        self.restarts += 1;
-        if self.restarts > shared.config.restart_budget {
+        if self.domain.rebuild(&shared.config) == Rebuilt::Exhausted {
             self.alive = false;
             mark_shard_dead(shared, self.worker);
             return;
         }
         shared.stats.restarts.fetch_add(1, Ordering::Relaxed);
-        let base = shared.config.restart_backoff;
-        if !base.is_zero() {
-            self.backoff_rng = splitmix64(self.backoff_rng);
-            let backoff = decorrelated_backoff(base, base * 64, self.prev_backoff, self.backoff_rng);
-            self.prev_backoff = backoff;
-            std::thread::sleep(backoff);
-        }
-        self.backend = build_backend(shared, self.worker, self.restarts);
         // The captured fast sample predates the restart; drop it rather
         // than judge the fresh backend by its predecessor's work.
         self.last_fast_sample = None;
     }
-}
-
-/// SplitMix64's finalizer — the repo's standard cheap deterministic hash.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The shard's deterministic jitter-stream seed: a function of the shard
-/// id alone, so a restarted fleet replays the same (decorrelated) backoff
-/// schedule run after run.
-pub(crate) fn backoff_seed(worker: usize) -> u64 {
-    splitmix64(0xB0_FF ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Decorrelated-jitter backoff (the classic "full jitter, previous-sleep
-/// coupled" recurrence): uniform in `[base, prev × 3]`, capped. Unlike
-/// plain exponential backoff it never synchronizes a fleet of restarting
-/// shards into retry convoys — each shard's draw decorrelates from both
-/// its own history and its peers'.
-pub(crate) fn decorrelated_backoff(base: Duration, cap: Duration, prev: Duration, draw: u64) -> Duration {
-    let lo = base.as_nanos() as u64;
-    let hi = (prev.as_nanos() as u64).saturating_mul(3).max(lo.saturating_add(1));
-    let span = hi - lo;
-    Duration::from_nanos(lo + draw % span).min(cap)
-}
-
-/// A fresh execution backend of the configured tier for `(worker, restart
-/// ordinal)`, carrying the chaos fault plan when one is configured. The
-/// plan's seed mixes in the worker index and restart ordinal
-/// (splitmix64-style odd constants) so shards draw independent fault
-/// streams, yet the whole fleet is reproducible from
-/// `ChaosConfig::fault_seed` alone — on either tier, which speak the same
-/// fault-plan dialect.
-fn build_backend(shared: &Shared, worker: usize, restarts: u32) -> Box<dyn ExecutionBackend> {
-    let mut backend = backend_for(shared.config.backend_tier, &shared.config.spec);
-    backend.set_integrity_mode(SHARD_INTEGRITY);
-    let chaos = &shared.config.chaos;
-    if let Some(seed) = chaos.fault_seed {
-        if chaos.fault_rate > 0.0 || chaos.gray_rate > 0.0 {
-            let mix = seed
-                ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (u64::from(restarts)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let plan = if chaos.gray_rate > 0.0 {
-                // Gray chaos: temporal faults (stalls, slowdowns, wedges)
-                // alongside any configured bit-flip rate, one seeded plan.
-                FaultPlan::gray(
-                    mix,
-                    chaos.fault_rate,
-                    GrayRates {
-                        rate: chaos.gray_rate,
-                        stall_cycles: chaos.gray_stall_cycles,
-                        slowdown_factor: chaos.gray_slowdown_factor,
-                    },
-                )
-            } else {
-                FaultPlan::bernoulli(mix, chaos.fault_rate)
-            };
-            backend.set_fault_plan(Some(plan));
-        }
-    }
-    backend
 }
 
 /// The synthetic failure a poison request triggers (chaos only): shaped
@@ -362,62 +275,41 @@ fn poison_error() -> ServeError {
     })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Retire a shard: flip its health flag, decrement the healthy count, and
 /// — when no healthy shard remains — drain the queue with
 /// [`ServeError::Degraded`], because nothing will ever run those requests.
 pub(crate) fn mark_shard_dead(shared: &Shared, worker: usize) {
     shared.stats.mark_shard_dead(worker);
-    let workers = shared.config.workers;
     let mut q = lock_queue(shared);
     q.healthy = q.healthy.saturating_sub(1);
     if q.healthy == 0 {
-        for per_model in &mut q.queues {
-            for queue in per_model.iter_mut() {
-                while let Some(p) = queue.pop_front() {
-                    shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
-                    settle(
-                        shared,
-                        p.idem_key,
-                        &p.reply,
-                        Err(ServeError::Degraded { healthy: 0, workers }),
-                    );
-                }
-            }
-        }
-        q.class_totals = [0; crate::overload::CLASSES];
-        q.total = 0;
+        shed_degraded(shared, q.drain_all());
     }
     drop(q);
     shared.ready.notify_all();
+}
+
+/// Fail requests no shard is left to run, under the queue lock.
+fn shed_degraded(shared: &Shared, pendings: Vec<Pending>) {
+    let workers = shared.config.workers;
+    for p in pendings {
+        shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
+        settle(
+            shared,
+            p.idem_key,
+            &p.reply,
+            Err(ServeError::Degraded { healthy: 0, workers }),
+        );
+    }
 }
 
 /// Hand work a dying shard could not finish back to the surviving shards,
 /// or fail it with [`ServeError::Degraded`] when none survive. Attempt
 /// counts ride along, so the per-request retry cap holds across shards.
 pub(crate) fn requeue_or_fail(shared: &Shared, model: ModelId, pendings: Vec<Pending>) {
-    let workers = shared.config.workers;
     let mut q = lock_queue(shared);
     if q.healthy == 0 {
-        for p in pendings {
-            shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                p.idem_key,
-                &p.reply,
-                Err(ServeError::Degraded { healthy: 0, workers }),
-            );
-        }
-        return;
+        return shed_degraded(shared, pendings);
     }
     for p in pendings.into_iter().rev() {
         let c = p.class.index();
@@ -488,20 +380,13 @@ fn run_group(
     }
 }
 
-/// The watchdog's wall-deadline floor: below this, host scheduling noise
-/// (a descheduled core, a page fault, a GC of the box's other tenants)
-/// would masquerade as a gray failure. 25 ms dominates OS jitter on a
-/// loaded host while a true wedge — pacing one simulated cycle per 100 µs
-/// — still overshoots it within a few hundred wedge cycles.
-const WATCHDOG_FLOOR: Duration = Duration::from_millis(25);
-
-/// Run one compiled program under the liveness layer: a fresh
-/// [`CancelToken`] and per-block cycle budget on the backend, the
-/// watchdog's wall deadline armed when the backend's *own tier* is
-/// calibrated (the fast tier burns wall time orders of magnitude slower
-/// per charged cycle, so tiers never share an ns-per-cycle estimate), and
-/// — on success — the run's timing folded into that tier's calibration and
-/// the shard's health EWMA.
+/// Run one compiled program under the liveness layer: the per-block cycle
+/// budget on the backend, the watchdog's wall deadline armed (and its
+/// cancel token installed) when the backend's *own tier* is calibrated
+/// (the fast tier burns wall time orders of magnitude slower per charged
+/// cycle, so tiers never share an ns-per-cycle estimate), and — on success
+/// — the run's timing folded into that tier's calibration and the shard's
+/// health EWMA.
 ///
 /// On the fast tier, a successful run that injected no chaos faults is
 /// captured into `sample_slot` (first one per cross-check window) for the
@@ -519,21 +404,12 @@ fn run_with_liveness(
     let tier = backend.tier();
     let block_cycles = compiled.block_compute_cycles();
     let predicted = block_cycles.saturating_mul(compiled.num_blocks() as u64);
-    backend.set_cycle_budget((cfg.cycle_budget > 0.0 && block_cycles > 0).then(|| {
-        // Per run_block call, so the budget scales with the block, not the
-        // whole layer; +1 keeps a healthy exact-cost run strictly inside.
-        ((block_cycles as f64 * cfg.cycle_budget).ceil() as u64).max(block_cycles + 1)
-    }));
-    let token = CancelToken::new();
-    backend.set_cancel_token(Some(token.clone()));
-    let mut armed = false;
-    if cfg.watchdog_slack > 0.0 && predicted > 0 {
-        if let Some(ns) = shared.stats.ns_per_cycle(tier) {
-            let wall = Duration::from_nanos((predicted as f64 * ns * cfg.watchdog_slack) as u64).max(WATCHDOG_FLOOR);
-            shared.watchdog.arm(worker, Instant::now() + wall, token.clone());
-            armed = true;
-        }
-    }
+    let calibration = &shared.stats.ns_per_cycle[tier.index()];
+    backend.set_cycle_budget(cycle_budget(block_cycles, cfg.cycle_budget));
+    // Unarmed, the previous run's (possibly cancelled) token is cleared.
+    let token = shared.watchdog.arm(worker, predicted, calibration.get(), cfg.watchdog_slack);
+    let armed = token.is_some();
+    backend.set_cancel_token(token);
     let faults_before = backend.faults_injected();
     let temporal_before = backend.temporal_injected();
     let started = Instant::now();
@@ -543,9 +419,9 @@ fn run_with_liveness(
         shared.watchdog.disarm(worker);
     }
     if let Ok((ofm, report)) = &result {
-        shared.stats.observe_run_timing(tier, predicted, wall);
+        calibration.observe(predicted, wall);
         shared.stats.observe_cycles_charged(tier, report.cycles);
-        if let Some(ns) = shared.stats.ns_per_cycle(tier) {
+        if let Some(ns) = calibration.get() {
             // Health observation: 1.0 when the run landed at (or under)
             // its predicted wall time, shrinking toward 0 as it overruns.
             let predicted_ns = predicted as f64 * ns;
@@ -769,70 +645,4 @@ pub(crate) fn run_worker(shared: &Arc<Shared>, worker: usize) -> WorkerExit {
         }
     }
     WorkerExit::Unhealthy
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The backoff sequence a shard would sleep through `n` consecutive
-    /// restarts, reproduced from the pure recurrence.
-    fn backoff_sequence(worker: usize, base: Duration, n: usize) -> Vec<Duration> {
-        let cap = base * 64;
-        let mut rng = backoff_seed(worker);
-        let mut prev = base;
-        (0..n)
-            .map(|_| {
-                rng = splitmix64(rng);
-                prev = decorrelated_backoff(base, cap, prev, rng);
-                prev
-            })
-            .collect()
-    }
-
-    #[test]
-    fn backoff_jitter_is_deterministic_per_shard() {
-        let base = Duration::from_millis(1);
-        assert_eq!(
-            backoff_sequence(0, base, 8),
-            backoff_sequence(0, base, 8),
-            "same shard, same schedule — the fleet replays from seeds alone"
-        );
-    }
-
-    #[test]
-    fn backoff_jitter_diverges_across_shards() {
-        // Two shards restarting in lockstep must not sleep in lockstep:
-        // their jitter streams are seeded from distinct shard ids.
-        let base = Duration::from_millis(1);
-        let a = backoff_sequence(0, base, 8);
-        let b = backoff_sequence(1, base, 8);
-        assert_ne!(a, b, "shards 0 and 1 drew identical backoff schedules");
-        let differing = a.iter().zip(&b).filter(|(x, y)| x != y).count();
-        assert!(differing >= 6, "schedules nearly synchronized: {a:?} vs {b:?}");
-    }
-
-    #[test]
-    fn backoff_respects_base_and_cap() {
-        let base = Duration::from_millis(1);
-        let cap = base * 64;
-        for worker in 0..4 {
-            for d in backoff_sequence(worker, base, 32) {
-                assert!(d >= base, "below base: {d:?}");
-                assert!(d <= cap, "above cap: {d:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_handles_degenerate_inputs() {
-        // prev = 0 (first restart with a zero-history shard) still yields
-        // something in [base, cap]; a zero base collapses to zero-ish
-        // waits without dividing by zero.
-        let base = Duration::from_micros(100);
-        let d = decorrelated_backoff(base, base * 64, Duration::ZERO, 0xDEAD_BEEF);
-        assert!(d >= base);
-        let z = decorrelated_backoff(Duration::ZERO, Duration::ZERO, Duration::ZERO, 7);
-        assert_eq!(z, Duration::ZERO);
-    }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: format, lints, the knob census (scripts/knobs.sh),
-# tests (incl. the heavy full-size ones), examples, evaluation binaries,
-# the benchmark's smoke run and own tests, the ten soak gates
-# (scripts/soaks.sh) and the paper-table benches.
+# intra-doc links, tests (incl. the heavy full-size ones), examples,
+# evaluation binaries, the benchmark's smoke run and own tests, the ten
+# soak gates (scripts/soaks.sh) and the paper-table benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== knob census (no config field or builder that nothing sets) =="
 scripts/knobs.sh
+
+echo "== doc links (a moved item must not leave a dangling intra-doc link) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc --offline --no-deps -p npcgra-serve -p npcgra-net -p npcgra-sim
 
 echo "== tests =="
 cargo test --workspace
