@@ -20,7 +20,7 @@ use npcgra_nn::{ConvKind, ConvLayer, Tensor, Word};
 use crate::act;
 use crate::dwc_s1::DwcS1Mapping;
 use crate::layout;
-use crate::program::{BlockProgram, StorePort, TileMapping};
+use crate::program::{BlockGeometry, BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
 
@@ -147,11 +147,9 @@ impl DwcS1BatchedLayerMap {
             return Err(MapError::new(format!("K = {k} kernel does not fit the GRF")));
         }
         let cfg = BlockCfg::choose_dwc(spec, k, 1, layer.out_h(), layer.out_w());
-        let block_w = cfg.b_c * spec.cols + k - 1;
-        let input_rows = cfg.b_r * spec.rows + k - 1;
-        let slots_per_bank = input_rows.div_ceil(spec.rows);
+        let addr_ofm = layout::dwc_s1_addr_ofm(cfg, spec.rows, spec.cols, k);
         // Per-channel segment: IFM rows + the OFM region.
-        let h_stride = slots_per_bank * block_w + cfg.b_r * cfg.b_c * spec.cols;
+        let h_stride = addr_ofm + cfg.b_r * cfg.b_c * spec.cols;
         let v_stride = (cfg.b_r * (k - 1) * cfg.b_c).max(1);
 
         let h_budget = BlockCfg::hmem_words_per_bank(spec);
@@ -163,7 +161,6 @@ impl DwcS1BatchedLayerMap {
 
         let blocks_h = BlockCfg::blocks_to_cover(layer.out_h(), cfg.b_r * spec.rows);
         let blocks_w = BlockCfg::blocks_to_cover(layer.out_w(), cfg.b_c * spec.cols);
-        let addr_ofm = slots_per_bank * block_w;
         Ok(DwcS1BatchedLayerMap {
             layer: layer.clone(),
             spec: *spec,
@@ -192,10 +189,7 @@ impl DwcS1BatchedLayerMap {
     /// Compute cycles per block: `cb` channels × tiles × tile latency.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = DwcS1Mapping::new(self.layer.k(), &self.spec, 0)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cb * self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        (self.cb * self.cfg.b_r * self.cfg.b_c) as u64 * self.mapping().tile_latency()
     }
 
     /// Words DMA moves in per block.
@@ -214,6 +208,68 @@ impl DwcS1BatchedLayerMap {
         (self.cb * self.cfg.b_r * self.spec.rows * self.cfg.b_c * self.spec.cols) as u64
     }
 
+    /// The batched tile schedule every block of the layer runs.
+    fn mapping(&self) -> BatchedDwcS1Mapping {
+        let inner = DwcS1Mapping::new(self.layer.k(), &self.spec, self.addr_ofm).with_activation(self.layer.activation());
+        BatchedDwcS1Mapping::new(inner, self.cfg.b_r, self.h_stride, self.v_stride)
+    }
+
+    /// Block `idx`'s channels and output origin `(channels, r0, c0)`. The
+    /// last group may be short.
+    fn origin(&self, idx: usize) -> (std::ops::Range<usize>, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_grp = self.blocks_h * self.blocks_w;
+        let ch0 = idx / per_grp * self.cb;
+        let rb = (idx % per_grp) / self.blocks_w;
+        let cb_idx = idx % self.blocks_w;
+        (
+            ch0..(ch0 + self.cb).min(self.layer.in_channels()),
+            rb * self.cfg.b_r * self.spec.rows,
+            cb_idx * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// Block `idx`'s data-independent geometry: label, tiles, tile latency
+    /// and OFM extraction slots (channel by channel, each in its own
+    /// segment of the bank images).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn geometry(&self, idx: usize) -> BlockGeometry {
+        let (channels, r0, c0) = self.origin(idx);
+        let ch0 = channels.start;
+        let mut ofm_slots = Vec::new();
+        for ch in channels {
+            let segment = (ch - ch0) * self.h_stride;
+            ofm_slots.extend(
+                layout::dwc_ofm_slots(
+                    ch,
+                    r0,
+                    c0,
+                    self.cfg,
+                    self.spec.rows,
+                    self.spec.cols,
+                    self.layer.out_h(),
+                    self.layer.out_w(),
+                    self.addr_ofm,
+                )
+                .into_iter()
+                .map(|s| layout::OfmSlot {
+                    offset: s.offset + segment,
+                    ..s
+                }),
+            );
+        }
+        BlockGeometry {
+            label: format!("{}[batched ch={ch0}+{},r={r0},c={c0}]", self.layer.name(), self.cb),
+            tiles: TilePos::first(self.cb * self.cfg.b_r, self.cfg.b_c),
+            tile_latency: self.mapping().tile_latency(),
+            ofm_slots,
+        }
+    }
+
     /// Materialize block `idx` against the padded IFM and `(N_i, K, K)`
     /// weights.
     ///
@@ -222,16 +278,9 @@ impl DwcS1BatchedLayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_grp = self.blocks_h * self.blocks_w;
-        let grp = idx / per_grp;
-        let rb = (idx % per_grp) / self.blocks_w;
-        let cb_idx = idx % self.blocks_w;
-        let r0 = rb * self.cfg.b_r * self.spec.rows;
-        let c0 = cb_idx * self.cfg.b_c * self.spec.cols;
+        let (channels, r0, c0) = self.origin(idx);
+        let geometry = self.geometry(idx);
         let k = self.layer.k();
-        let ch0 = grp * self.cb;
-        let channels: Vec<usize> = (ch0..(ch0 + self.cb).min(self.layer.in_channels())).collect();
 
         // Concatenate per-channel images at the channel stride. The last
         // group may be short; its tail segments stay zero (their tiles run
@@ -239,8 +288,7 @@ impl DwcS1BatchedLayerMap {
         let mut h_banks = vec![vec![0 as Word; self.cb * self.h_stride]; self.spec.rows];
         let mut v_banks = vec![vec![0 as Word; self.cb * self.v_stride]; self.spec.cols];
         let mut weight_buffer = Vec::with_capacity(self.cb);
-        let mut ofm_slots = Vec::new();
-        for (slot, &ch) in channels.iter().enumerate() {
+        for (slot, ch) in channels.enumerate() {
             let (h, addr_ofm) = layout::dwc_s1_h_image(padded, ch, r0, c0, self.cfg, self.spec.rows, self.spec.cols, k);
             debug_assert_eq!(addr_ofm, self.addr_ofm);
             for (bank, image) in h.into_iter().enumerate() {
@@ -257,20 +305,6 @@ impl DwcS1BatchedLayerMap {
                 kernel.push(c);
             }
             weight_buffer.push(kernel);
-            for mut s in layout::dwc_ofm_slots(
-                ch,
-                r0,
-                c0,
-                self.cfg,
-                self.spec.rows,
-                self.spec.cols,
-                self.layer.out_h(),
-                self.layer.out_w(),
-                self.addr_ofm,
-            ) {
-                s.offset += slot * self.h_stride;
-                ofm_slots.push(s);
-            }
         }
         // Pad the Weight Buffer for the short tail group (tiles of absent
         // channels still index a slot).
@@ -278,16 +312,15 @@ impl DwcS1BatchedLayerMap {
             weight_buffer.push(vec![0; k * k]);
         }
 
-        let inner = DwcS1Mapping::new(k, &self.spec, self.addr_ofm).with_activation(self.layer.activation());
         BlockProgram {
-            label: format!("{}[batched ch={ch0}+{},r={r0},c={c0}]", self.layer.name(), self.cb),
+            label: geometry.label,
             h_banks,
             v_banks,
             grf: Vec::new(),
             weight_buffer,
-            tiles: TilePos::first(self.cb * self.cfg.b_r, self.cfg.b_c),
-            mapping: Box::new(BatchedDwcS1Mapping::new(inner, self.cfg.b_r, self.h_stride, self.v_stride)),
-            ofm_slots,
+            tiles: geometry.tiles,
+            mapping: Box::new(self.mapping()),
+            ofm_slots: geometry.ofm_slots,
             dma_in_words: self.block_input_words(),
             ofm_words: self.block_output_words(),
         }

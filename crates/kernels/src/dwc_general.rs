@@ -12,7 +12,7 @@ use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor};
 
 use crate::act;
 use crate::layout;
-use crate::program::{BlockProgram, StorePort, TileMapping};
+use crate::program::{BlockGeometry, BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
 
@@ -194,10 +194,7 @@ impl DwcGeneralLayerMap {
     /// Compute cycles of any one block.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = DwcGeneralMapping::new(self.layer.k(), self.layer.s(), &self.spec, 0)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        (self.cfg.b_r * self.cfg.b_c) as u64 * self.mapping().tile_latency()
     }
 
     /// Words DMA moves in per block (the IFM bank images + the kernel).
@@ -222,6 +219,54 @@ impl DwcGeneralLayerMap {
         self.block_output_words() * (self.layer.k() * self.layer.k()) as u64
     }
 
+    /// The tile schedule every block of the layer runs.
+    fn mapping(&self) -> DwcGeneralMapping {
+        let (k, s) = (self.layer.k(), self.layer.s());
+        let addr_ofm = layout::dwc_general_addr_ofm(self.cfg, self.spec.rows, self.spec.cols, k, s);
+        DwcGeneralMapping::new(k, s, &self.spec, addr_ofm).with_activation(self.layer.activation())
+    }
+
+    /// Block `idx`'s channel and output origin `(ch, r0, c0)`.
+    fn origin(&self, idx: usize) -> (usize, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_ch = self.blocks_h * self.blocks_w;
+        let rb = (idx % per_ch) / self.blocks_w;
+        let cb = idx % self.blocks_w;
+        (
+            idx / per_ch,
+            rb * self.cfg.b_r * self.spec.rows,
+            cb * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// Block `idx`'s data-independent geometry: label, tiles, tile latency
+    /// and OFM extraction slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn geometry(&self, idx: usize) -> BlockGeometry {
+        let (ch, r0, c0) = self.origin(idx);
+        let (nr, nc) = (self.spec.rows, self.spec.cols);
+        BlockGeometry {
+            label: format!("{}[ch={ch},r={r0},c={c0}]", self.layer.name()),
+            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
+            tile_latency: self.mapping().tile_latency(),
+            ofm_slots: layout::dwc_ofm_slots(
+                ch,
+                r0,
+                c0,
+                self.cfg,
+                nr,
+                nc,
+                self.layer.out_h(),
+                self.layer.out_w(),
+                layout::dwc_general_addr_ofm(self.cfg, nr, nc, self.layer.k(), self.layer.s()),
+            ),
+        }
+    }
+
     /// Materialize block `idx` against the *padded* IFM (see
     /// [`padded_ifm`]) and the `(N_i, K, K)` weight tensor.
     ///
@@ -230,14 +275,9 @@ impl DwcGeneralLayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_ch = self.blocks_h * self.blocks_w;
-        let ch = idx / per_ch;
-        let rb = (idx % per_ch) / self.blocks_w;
-        let cb = idx % self.blocks_w;
-        let r0 = rb * self.cfg.b_r * self.spec.rows;
-        let c0 = cb * self.cfg.b_c * self.spec.cols;
-        let (h_banks, addr_ofm) = layout::dwc_general_h_image(
+        let (ch, r0, c0) = self.origin(idx);
+        let geometry = self.geometry(idx);
+        let (h_banks, _) = layout::dwc_general_h_image(
             padded,
             ch,
             r0,
@@ -248,30 +288,15 @@ impl DwcGeneralLayerMap {
             self.layer.k(),
             self.layer.s(),
         );
-        let v_banks = layout::dwc_v_image(weights, ch, self.layer.k(), self.spec.cols);
-        let ofm_slots = layout::dwc_ofm_slots(
-            ch,
-            r0,
-            c0,
-            self.cfg,
-            self.spec.rows,
-            self.spec.cols,
-            self.layer.out_h(),
-            self.layer.out_w(),
-            addr_ofm,
-        );
         BlockProgram {
-            label: format!("{}[ch={ch},r={r0},c={c0}]", self.layer.name()),
+            label: geometry.label,
             h_banks,
-            v_banks,
+            v_banks: layout::dwc_v_image(weights, ch, self.layer.k(), self.spec.cols),
             grf: act::grf_constant(self.layer.activation()).map_or_else(Vec::new, |c| vec![c]),
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
-            mapping: Box::new(
-                DwcGeneralMapping::new(self.layer.k(), self.layer.s(), &self.spec, addr_ofm)
-                    .with_activation(self.layer.activation()),
-            ),
-            ofm_slots,
+            tiles: geometry.tiles,
+            mapping: Box::new(self.mapping()),
+            ofm_slots: geometry.ofm_slots,
             dma_in_words: self.block_input_words(),
             ofm_words: self.block_output_words(),
         }

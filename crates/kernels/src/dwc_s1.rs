@@ -14,7 +14,7 @@ use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor};
 
 use crate::act;
 use crate::layout;
-use crate::program::{BlockProgram, StorePort, TileMapping};
+use crate::program::{BlockGeometry, BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
 
@@ -245,10 +245,7 @@ impl DwcS1LayerMap {
     /// Compute cycles of any one block.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = DwcS1Mapping::new(self.layer.k(), &self.spec, 0)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        (self.cfg.b_r * self.cfg.b_c) as u64 * self.mapping().tile_latency()
     }
 
     /// Words DMA moves in per block (H image + SS V image + GRF kernel).
@@ -273,6 +270,53 @@ impl DwcS1LayerMap {
         self.block_output_words() * (self.layer.k() * self.layer.k()) as u64
     }
 
+    /// The tile schedule every block of the layer runs.
+    fn mapping(&self) -> DwcS1Mapping {
+        let addr_ofm = layout::dwc_s1_addr_ofm(self.cfg, self.spec.rows, self.spec.cols, self.layer.k());
+        DwcS1Mapping::new(self.layer.k(), &self.spec, addr_ofm).with_activation(self.layer.activation())
+    }
+
+    /// Block `idx`'s channel and output origin `(ch, r0, c0)`.
+    fn origin(&self, idx: usize) -> (usize, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_ch = self.blocks_h * self.blocks_w;
+        let rb = (idx % per_ch) / self.blocks_w;
+        let cb = idx % self.blocks_w;
+        (
+            idx / per_ch,
+            rb * self.cfg.b_r * self.spec.rows,
+            cb * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// Block `idx`'s data-independent geometry: label, tiles, tile latency
+    /// and OFM extraction slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn geometry(&self, idx: usize) -> BlockGeometry {
+        let (ch, r0, c0) = self.origin(idx);
+        let (nr, nc) = (self.spec.rows, self.spec.cols);
+        BlockGeometry {
+            label: format!("{}[ch={ch},r={r0},c={c0}]", self.layer.name()),
+            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
+            tile_latency: self.mapping().tile_latency(),
+            ofm_slots: layout::dwc_ofm_slots(
+                ch,
+                r0,
+                c0,
+                self.cfg,
+                nr,
+                nc,
+                self.layer.out_h(),
+                self.layer.out_w(),
+                layout::dwc_s1_addr_ofm(self.cfg, nr, nc, self.layer.k()),
+            ),
+        }
+    }
+
     /// Materialize block `idx` against the *padded* IFM and the
     /// `(N_i, K, K)` weight tensor.
     ///
@@ -281,40 +325,24 @@ impl DwcS1LayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_ch = self.blocks_h * self.blocks_w;
-        let ch = idx / per_ch;
-        let rb = (idx % per_ch) / self.blocks_w;
-        let cb = idx % self.blocks_w;
-        let r0 = rb * self.cfg.b_r * self.spec.rows;
-        let c0 = cb * self.cfg.b_c * self.spec.cols;
+        let (ch, r0, c0) = self.origin(idx);
+        let geometry = self.geometry(idx);
         let k = self.layer.k();
-        let (h_banks, addr_ofm) = layout::dwc_s1_h_image(padded, ch, r0, c0, self.cfg, self.spec.rows, self.spec.cols, k);
+        let (h_banks, _) = layout::dwc_s1_h_image(padded, ch, r0, c0, self.cfg, self.spec.rows, self.spec.cols, k);
         let v_banks = layout::dwc_s1_v_image(padded, ch, r0, c0, self.cfg, self.spec.rows, self.spec.cols, k);
         let mut grf = layout::dwc_grf_image(weights, ch, k);
         if let Some(c) = act::grf_constant(self.layer.activation()) {
             grf.push(c); // the leaky-ReLU shift, just past the K*K taps
         }
-        let ofm_slots = layout::dwc_ofm_slots(
-            ch,
-            r0,
-            c0,
-            self.cfg,
-            self.spec.rows,
-            self.spec.cols,
-            self.layer.out_h(),
-            self.layer.out_w(),
-            addr_ofm,
-        );
         BlockProgram {
-            label: format!("{}[ch={ch},r={r0},c={c0}]", self.layer.name()),
+            label: geometry.label,
             h_banks,
             v_banks,
             grf,
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
-            mapping: Box::new(DwcS1Mapping::new(k, &self.spec, addr_ofm).with_activation(self.layer.activation())),
-            ofm_slots,
+            tiles: geometry.tiles,
+            mapping: Box::new(self.mapping()),
+            ofm_slots: geometry.ofm_slots,
             dma_in_words: self.block_input_words(),
             ofm_words: self.block_output_words(),
         }

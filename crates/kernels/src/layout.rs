@@ -154,9 +154,7 @@ pub fn dwc_general_h_image(
 ) -> (Vec<Vec<Word>>, usize) {
     let block_w = s * (cfg.b_c * nc - 1) + k;
     let input_rows = (cfg.b_r * nr - 1) * s + k;
-    let groups = input_rows.div_ceil(s);
-    let slots_per_bank = groups.div_ceil(nr);
-    let addr_ofm = slots_per_bank * block_w * s;
+    let addr_ofm = dwc_general_addr_ofm(cfg, nr, nc, k, s);
     let total = addr_ofm + cfg.b_r * cfg.b_c * nc;
     let mut banks = vec![vec![0; total]; nr];
     for u in 0..input_rows {
@@ -168,6 +166,16 @@ pub fn dwc_general_h_image(
         }
     }
     (banks, addr_ofm)
+}
+
+/// Where the OFM region starts in a [`dwc_general_h_image`] bank: past the
+/// `S`-row groups dealt round-robin over the `N_r` banks.
+#[must_use]
+pub fn dwc_general_addr_ofm(cfg: BlockCfg, nr: usize, nc: usize, k: usize, s: usize) -> usize {
+    let block_w = s * (cfg.b_c * nc - 1) + k;
+    let input_rows = (cfg.b_r * nr - 1) * s + k;
+    let slots_per_bank = input_rows.div_ceil(s).div_ceil(nr);
+    slots_per_bank * block_w * s
 }
 
 /// DWC-general V-MEM image: the channel's `K×K` kernel, row-major,
@@ -244,8 +252,7 @@ pub fn dwc_s1_h_image(
 ) -> (Vec<Vec<Word>>, usize) {
     let block_w = cfg.b_c * nc + k - 1;
     let input_rows = cfg.b_r * nr + k - 1;
-    let slots_per_bank = input_rows.div_ceil(nr);
-    let addr_ofm = slots_per_bank * block_w;
+    let addr_ofm = dwc_s1_addr_ofm(cfg, nr, nc, k);
     let total = addr_ofm + cfg.b_r * cfg.b_c * nc;
     let mut banks = vec![vec![0; total]; nr];
     for u in 0..input_rows {
@@ -256,6 +263,15 @@ pub fn dwc_s1_h_image(
         }
     }
     (banks, addr_ofm)
+}
+
+/// Where the OFM region starts in a [`dwc_s1_h_image`] bank: past the
+/// input rows dealt round-robin over the `N_r` banks.
+#[must_use]
+pub fn dwc_s1_addr_ofm(cfg: BlockCfg, nr: usize, nc: usize, k: usize) -> usize {
+    let block_w = cfg.b_c * nc + k - 1;
+    let input_rows = cfg.b_r * nr + k - 1;
+    input_rows.div_ceil(nr) * block_w
 }
 
 /// Stride-1 DWC V-MEM image (Fig. 11): only the values the SS phases need.

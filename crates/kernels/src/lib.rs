@@ -36,6 +36,6 @@ pub use dwc_batched::{BatchedDwcS1Mapping, DwcS1BatchedLayerMap};
 pub use dwc_general::DwcGeneralMapping;
 pub use dwc_s1::DwcS1Mapping;
 pub use matmul_dwc::MatmulDwcMapping;
-pub use program::{BlockProgram, StorePort, TileMapping};
+pub use program::{BlockGeometry, BlockProgram, StorePort, TileMapping};
 pub use pwc::PwcMapping;
 pub use tiling::BlockCfg;

@@ -14,7 +14,7 @@ use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor, Word};
 
 use crate::act;
 use crate::layout::OfmSlot;
-use crate::program::{BlockProgram, StorePort, TileMapping};
+use crate::program::{BlockGeometry, BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
 
@@ -173,10 +173,7 @@ impl MatmulDwcLayerMap {
     /// Compute cycles of any one block.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        self.b_r as u64
-            * MatmulDwcMapping::new(self.layer.k(), &self.spec, 0)
-                .with_activation(self.layer.activation())
-                .tile_latency()
+        self.b_r as u64 * self.mapping().tile_latency()
     }
 
     /// Words DMA moves in per block (im2col rows + the kernel column).
@@ -198,6 +195,56 @@ impl MatmulDwcLayerMap {
         (self.b_r * self.spec.rows * self.layer.k() * self.layer.k()) as u64
     }
 
+    /// The tile schedule every block of the layer runs.
+    fn mapping(&self) -> MatmulDwcMapping {
+        let addr_ofm = self.b_r * self.layer.k() * self.layer.k();
+        MatmulDwcMapping::new(self.layer.k(), &self.spec, addr_ofm).with_activation(self.layer.activation())
+    }
+
+    /// Block `idx`'s channel and first (row-major) output pixel.
+    fn origin(&self, idx: usize) -> (usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        (idx / self.blocks_p, (idx % self.blocks_p) * self.b_r * self.spec.rows)
+    }
+
+    /// Block `idx`'s data-independent geometry: label, tiles, tile latency
+    /// and OFM extraction slots (only column 0 of each tile is a real
+    /// output).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn geometry(&self, idx: usize) -> BlockGeometry {
+        let (ch, p0) = self.origin(idx);
+        let (nr, nc) = (self.spec.rows, self.spec.cols);
+        let ow = self.layer.out_w();
+        let pixels = self.layer.out_h() * ow;
+        let addr_ofm = self.b_r * self.layer.k() * self.layer.k();
+        let mut ofm_slots = Vec::new();
+        for g in 0..self.b_r {
+            for r in 0..nr {
+                let p = p0 + g * nr + r;
+                if p >= pixels {
+                    continue;
+                }
+                ofm_slots.push(OfmSlot {
+                    bank: r,
+                    offset: addr_ofm + g * nc,
+                    c: ch,
+                    y: p / ow,
+                    x: p % ow,
+                });
+            }
+        }
+        BlockGeometry {
+            label: format!("{}[matmul ch={ch},p={p0}]", self.layer.name()),
+            tiles: TilePos::first(self.b_r, 1),
+            tile_latency: self.mapping().tile_latency(),
+            ofm_slots,
+        }
+    }
+
     /// Materialize block `idx` against the *padded* IFM and `(N_i, K, K)`
     /// weights. The im2col rows are generated in place (the host-side
     /// im2col the paper leaves unaccounted for in Table 5).
@@ -207,15 +254,13 @@ impl MatmulDwcLayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let ch = idx / self.blocks_p;
-        let p_blk = idx % self.blocks_p;
-        let p0 = p_blk * self.b_r * self.spec.rows;
+        let (ch, p0) = self.origin(idx);
+        let geometry = self.geometry(idx);
         let k = self.layer.k();
         let s = self.layer.s();
         let kk = k * k;
-        let (oh, ow) = (self.layer.out_h(), self.layer.out_w());
-        let pixels = oh * ow;
+        let ow = self.layer.out_w();
+        let pixels = self.layer.out_h() * ow;
         let nr = self.spec.rows;
         let nc = self.spec.cols;
         let addr_ofm = self.b_r * kk;
@@ -247,33 +292,15 @@ impl MatmulDwcLayerMap {
         let mut v_banks = vec![Vec::new(); nc];
         v_banks[0] = (0..kk).map(|tap| weights.get(ch, tap / k, tap % k)).collect();
 
-        // Only column 0 of each tile is a real output.
-        let mut ofm_slots = Vec::new();
-        for g in 0..self.b_r {
-            for r in 0..nr {
-                let p = p0 + g * nr + r;
-                if p >= pixels {
-                    continue;
-                }
-                ofm_slots.push(OfmSlot {
-                    bank: r,
-                    offset: addr_ofm + g * nc,
-                    c: ch,
-                    y: p / ow,
-                    x: p % ow,
-                });
-            }
-        }
-
         BlockProgram {
-            label: format!("{}[matmul ch={ch},p={p0}]", self.layer.name()),
+            label: geometry.label,
             h_banks,
             v_banks,
             grf: act::grf_constant(self.layer.activation()).map_or_else(Vec::new, |c| vec![c]),
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.b_r, 1),
-            mapping: Box::new(MatmulDwcMapping::new(k, &self.spec, addr_ofm).with_activation(self.layer.activation())),
-            ofm_slots,
+            tiles: geometry.tiles,
+            mapping: Box::new(self.mapping()),
+            ofm_slots: geometry.ofm_slots,
             dma_in_words: self.block_input_words(),
             ofm_words: self.block_output_words(),
         }

@@ -63,6 +63,23 @@ pub trait TileMapping {
     }
 }
 
+/// The data-independent part of one block: what a layer map's
+/// `materialize` yields, minus the memory images. A pure function of
+/// (layer, mapping, spec, block index), so it can be computed once per
+/// compiled program; `materialize` builds its [`BlockProgram`] from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockGeometry {
+    /// Human-readable tag for error messages and traces.
+    pub label: String,
+    /// Block geometry (tiles).
+    pub tiles: TilePos,
+    /// Latency of one tile of the block's schedule.
+    pub tile_latency: u64,
+    /// Where each valid output element rests after the block runs, in
+    /// extraction order.
+    pub ofm_slots: Vec<OfmSlot>,
+}
+
 /// One block of work, ready for the machine.
 pub struct BlockProgram {
     /// Human-readable tag for error messages and traces.

@@ -13,7 +13,7 @@ use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor};
 
 use crate::act;
 use crate::layout;
-use crate::program::{BlockProgram, StorePort, TileMapping};
+use crate::program::{BlockGeometry, BlockProgram, StorePort, TileMapping};
 use crate::tiling::BlockCfg;
 
 /// Mapping-construction error.
@@ -216,10 +216,7 @@ impl PwcLayerMap {
     /// Compute cycles of any one block (they are uniform).
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = PwcMapping::new(self.layer.in_channels(), &self.spec, self.addr_ofm)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        (self.cfg.b_r * self.cfg.b_c) as u64 * self.mapping().tile_latency()
     }
 
     /// Words DMA moves in per block (IFM pixels + weights).
@@ -242,6 +239,52 @@ impl PwcLayerMap {
         (self.cfg.b_r * self.spec.rows * self.cfg.b_c * self.spec.cols) as u64 * self.layer.in_channels() as u64
     }
 
+    /// The tile schedule every block of the layer runs.
+    fn mapping(&self) -> PwcMapping {
+        PwcMapping::new(self.layer.in_channels(), &self.spec, self.addr_ofm).with_activation(self.layer.activation())
+    }
+
+    /// Block `idx`'s image row and first pixel / output channel.
+    fn origin(&self, idx: usize) -> (usize, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_row = self.blocks_p * self.blocks_o;
+        let y = idx / per_row;
+        let p_blk = (idx % per_row) / self.blocks_o;
+        let o_blk = idx % self.blocks_o;
+        (
+            y,
+            p_blk * self.cfg.b_r * self.spec.rows,
+            o_blk * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// Block `idx`'s data-independent geometry: label, tiles, tile latency
+    /// and OFM extraction slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn geometry(&self, idx: usize) -> BlockGeometry {
+        let (y, p0, o0) = self.origin(idx);
+        BlockGeometry {
+            label: format!("{}[y={y},p={p0},o={o0}]", self.layer.name()),
+            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
+            tile_latency: self.mapping().tile_latency(),
+            ofm_slots: layout::pwc_ofm_slots(
+                y,
+                p0,
+                o0,
+                self.cfg,
+                self.spec.rows,
+                self.spec.cols,
+                self.layer.out_w(),
+                self.layer.out_channels(),
+                self.addr_ofm,
+            ),
+        }
+    }
+
     /// Materialize block `idx` against real data.
     ///
     /// # Panics
@@ -249,37 +292,20 @@ impl PwcLayerMap {
     /// Panics if `idx >= num_blocks()` or tensor shapes mismatch the layer.
     #[must_use]
     pub fn materialize(&self, idx: usize, ifm: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_row = self.blocks_p * self.blocks_o;
-        let y = idx / per_row;
-        let p_blk = (idx % per_row) / self.blocks_o;
-        let o_blk = idx % self.blocks_o;
-        let p0 = p_blk * self.cfg.b_r * self.spec.rows;
-        let o0 = o_blk * self.cfg.b_c * self.spec.cols;
+        let (y, p0, o0) = self.origin(idx);
+        let geometry = self.geometry(idx);
         let (h_banks, addr_ofm) = layout::pwc_h_image(ifm, y, p0, self.cfg, self.spec.rows, self.spec.cols);
+        debug_assert_eq!(addr_ofm, self.addr_ofm);
         let v_banks = layout::pwc_v_image(weights, o0, self.cfg, self.spec.cols);
-        let ofm_slots = layout::pwc_ofm_slots(
-            y,
-            p0,
-            o0,
-            self.cfg,
-            self.spec.rows,
-            self.spec.cols,
-            self.layer.out_w(),
-            self.layer.out_channels(),
-            addr_ofm,
-        );
         BlockProgram {
-            label: format!("{}[y={y},p={p0},o={o0}]", self.layer.name()),
+            label: geometry.label,
             h_banks,
             v_banks,
             grf: crate::act::grf_constant(self.layer.activation()).map_or_else(Vec::new, |c| vec![c]),
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
-            mapping: Box::new(
-                PwcMapping::new(self.layer.in_channels(), &self.spec, addr_ofm).with_activation(self.layer.activation()),
-            ),
-            ofm_slots,
+            tiles: geometry.tiles,
+            mapping: Box::new(self.mapping()),
+            ofm_slots: geometry.ofm_slots,
             dma_in_words: self.block_input_words(),
             ofm_words: self.block_output_words(),
         }

@@ -29,6 +29,7 @@ pub enum Activation {
 
 impl Activation {
     /// Apply to an accumulator value (before 16-bit truncation).
+    #[inline]
     #[must_use]
     pub fn apply_acc(self, x: Acc) -> Acc {
         match self {

@@ -10,8 +10,9 @@
 use std::time::Duration;
 
 use npcgra_arch::CgraSpec;
-use npcgra_nn::{reference, ConvLayer, Tensor};
-use npcgra_serve::{BackendTier, ChaosConfig, CrossCheckCorruption, ServeConfig, Server, WorkerExit};
+use npcgra_nn::{models, reference, ConvLayer, Tensor};
+use npcgra_serve::{BackendTier, ChaosConfig, CrossCheckCorruption, Pipeline, ServeConfig, Server, Ticket, WorkerExit};
+use npcgra_sim::CompiledModel;
 
 fn fast_config(spec: &CgraSpec) -> ServeConfig {
     ServeConfig::for_spec(spec)
@@ -179,4 +180,131 @@ fn cross_check_quarantines_a_shard_with_diverging_outputs() {
 #[test]
 fn cross_check_quarantines_a_shard_with_diverging_cycle_charges() {
     divergence_drill(CrossCheckCorruption::ChargedCycles);
+}
+
+#[test]
+fn one_worker_serves_the_benchmarks_77_endpoints_in_bursts_without_a_single_retry() {
+    // The benchmark's served set on the benchmark box's shape: one worker,
+    // the fast tier, ABFT on (the default), every DSC layer of MobileNet
+    // V1+V2 (α 0.25, res 32) registered at once, traffic in same-model
+    // bursts of 1-4 so the batcher builds its combined programs. Nothing
+    // may go wrong quietly: no retry, no caught panic, no integrity
+    // failure, no cross-check divergence, no quarantine.
+    let spec = CgraSpec::np_cgra(4, 4);
+    let server = Server::start(
+        ServeConfig::for_spec(&spec)
+            .with_workers(1)
+            .with_max_linger(Duration::from_millis(5))
+            .with_cross_check_interval(8)
+            .with_backend_tier(BackendTier::Fast),
+    );
+    let layers: Vec<ConvLayer> = [models::mobilenet_v1(0.25, 32), models::mobilenet_v2(0.25, 32)]
+        .iter()
+        .flat_map(|m| m.dsc_layers().cloned().collect::<Vec<_>>())
+        .collect();
+    assert_eq!(layers.len(), 77);
+    let endpoints: Vec<_> = layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| {
+            let weights = layer.random_weights(0xE0 + i as u64);
+            let id = server.register(&format!("ep{i}"), layer.clone(), weights.clone()).unwrap();
+            (id, layer, weights)
+        })
+        .collect();
+    let mut served = 0u64;
+    for (i, (id, layer, weights)) in endpoints.iter().enumerate() {
+        for burst in 1..=4u64 {
+            let cases: Vec<(Ticket, Tensor)> = (0..burst)
+                .map(|j| {
+                    let ifm = Tensor::random(
+                        layer.in_channels(),
+                        layer.in_h(),
+                        layer.in_w(),
+                        7000 + 16 * i as u64 + 4 * burst + j,
+                    );
+                    let golden = reference::run_layer(layer, &ifm, weights).unwrap();
+                    (server.submit(*id, ifm).unwrap(), golden)
+                })
+                .collect();
+            for (ticket, golden) in cases {
+                let response = ticket
+                    .wait()
+                    .unwrap_or_else(|e| panic!("{} burst {burst}: {e}", layer.name()));
+                assert!(
+                    response.output == golden,
+                    "{} burst {burst}: reply is not golden",
+                    layer.name()
+                );
+                served += 1;
+            }
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(served, 77 * 10);
+    assert_eq!(stats.completed, served);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.retries, 0, "a clean fast tier needs no retry");
+    assert_eq!(stats.panics_caught, 0);
+    assert_eq!(stats.integrity_failed, 0);
+    assert_eq!(stats.quarantined, 0);
+    assert_eq!(stats.cross_check_failed, 0, "the cycle tier disagrees with the fast tier");
+    assert!(stats.cross_checks > 0, "the golden cross-check never ran");
+    assert!(stats.integrity_checked > 0, "ABFT never ran");
+    assert!(
+        stats.batch_histogram.iter().skip(2).sum::<u64>() > 0,
+        "no burst was ever batched: {:?}",
+        stats.batch_histogram
+    );
+    assert_eq!(stats.healthy_workers(), 1, "the shard did not stay healthy");
+}
+
+#[test]
+fn two_stage_pipeline_runs_the_26_layer_chain_clean_on_the_fast_tier() {
+    // `pipeline_saturate`'s program: MobileNetV1-0.25-32 as a 2-stage
+    // pipeline, four inferences in flight, every reply the chained golden
+    // output and the healing machinery inert.
+    let spec = CgraSpec::np_cgra(4, 4);
+    let layers: Vec<ConvLayer> = models::mobilenet_v1(0.25, 32).dsc_layers().cloned().collect();
+    assert_eq!(layers.len(), 26);
+    let weights: Vec<Tensor> = layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| l.random_weights(0xBEE + i as u64))
+        .collect();
+    let model = CompiledModel::compile("mobilenet_v1_0.25_32", &layers, &spec, 2).unwrap();
+    assert_eq!(model.num_stages(), 2);
+    let (c, h, w) = model.input_shape();
+    let config = ServeConfig::for_spec(&spec)
+        .with_backend_tier(BackendTier::Fast)
+        .with_pipeline_stages(2);
+    let pipe = Pipeline::start(config, model, weights.clone()).unwrap();
+    let n = 12u64;
+    let mut in_flight: std::collections::VecDeque<(Ticket, Tensor)> = std::collections::VecDeque::new();
+    for i in 0..n {
+        let input = Tensor::random(c, h, w, 0xF00D + i);
+        let golden = layers
+            .iter()
+            .zip(&weights)
+            .fold(input.clone(), |act, (l, w)| reference::run_layer(l, &act, w).unwrap());
+        in_flight.push_back((pipe.submit(input).unwrap(), golden));
+        if in_flight.len() == 4 || i + 1 == n {
+            while let Some((ticket, golden)) = in_flight.pop_front() {
+                let response = ticket.wait().unwrap_or_else(|e| panic!("inference failed: {e}"));
+                assert!(response.output == golden, "pipeline reply is not the chained golden output");
+            }
+        }
+    }
+    let stats = pipe.shutdown();
+    assert_eq!(stats.completed, n);
+    assert_eq!((stats.failed, stats.shed), (0, 0));
+    assert_eq!(stats.panics_caught, 0);
+    assert_eq!(stats.integrity_failures, 0);
+    assert_eq!(stats.handoff_corruptions, 0);
+    assert_eq!(stats.preemptions + stats.watchdog_preemptions, 0);
+    assert_eq!(stats.checkpoint_restores, 0);
+    assert!(stats.stage_replays.iter().all(|&r| r == 0), "{:?}", stats.stage_replays);
+    assert!(stats.stage_restarts.iter().all(|&r| r == 0), "{:?}", stats.stage_restarts);
+    assert_eq!(stats.total_failovers(), 0);
+    assert!(stats.cycles_charged > 0);
 }

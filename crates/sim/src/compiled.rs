@@ -8,10 +8,18 @@
 //! thread (it is `Send + Sync`, so serving layers wrap it in an `Arc` and
 //! share it across worker shards).
 //!
+//! The one thing it caches beyond the plan is the
+//! [`BlockSurface`](crate::BlockSurface): the blocks' input-independent
+//! geometry as the functional fast tier reads it, built by the first
+//! fast-tier run rather than by `compile` (which stays as cheap as planning
+//! the layer map) and shared by every run after.
+//!
 //! The whole-layer entry points in [`crate::layer`] are thin wrappers:
 //! compile, then run — so the cached path used by `npcgra-serve` is
 //! cycle-for-cycle and bit-for-bit the same as the one-shot path the test
 //! suite validates.
+
+use std::sync::OnceLock;
 
 use npcgra_arch::CgraSpec;
 use npcgra_kernels::dwc_batched::DwcS1BatchedLayerMap;
@@ -19,7 +27,7 @@ use npcgra_kernels::dwc_general::{padded_ifm, DwcGeneralLayerMap};
 use npcgra_kernels::dwc_s1::DwcS1LayerMap;
 use npcgra_kernels::matmul_dwc::MatmulDwcLayerMap;
 use npcgra_kernels::pwc::{MapError, PwcLayerMap};
-use npcgra_kernels::BlockProgram;
+use npcgra_kernels::{BlockGeometry, BlockProgram};
 use npcgra_mem::dma::double_buffered_cycles_exact;
 use npcgra_mem::DmaEngine;
 use npcgra_nn::{ConvKind, ConvLayer, Tensor};
@@ -29,6 +37,7 @@ use crate::integrity::{self, IntegrityMode};
 use crate::layer::MappingKind;
 use crate::machine::Machine;
 use crate::report::LayerReport;
+use crate::surface::BlockSurface;
 
 /// Which concrete mapping a [`CompiledLayer`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,6 +72,11 @@ pub struct CompiledLayer {
     layer: ConvLayer,
     spec: CgraSpec,
     map: MapImpl,
+    /// The blocks' input-independent geometry, filled by the first run that
+    /// asks ([`CompiledLayer::surface`]) — never by `compile`, which stays
+    /// as cheap as planning the layer map (boxed, so an unbuilt surface
+    /// adds one word to what `compile` returns and moves).
+    surface: OnceLock<Box<BlockSurface>>,
 }
 
 fn map_err(layer: &ConvLayer, e: MapError) -> SimError {
@@ -108,6 +122,7 @@ impl CompiledLayer {
             layer: layer.clone(),
             spec: *spec,
             map,
+            surface: OnceLock::new(),
         })
     }
 
@@ -181,6 +196,30 @@ impl CompiledLayer {
             MapImpl::MatmulDwc(m) => m.block_output_words(),
             MapImpl::BatchedDwcS1(m) => m.block_output_words(),
         }
+    }
+
+    /// Block `i`'s data-independent geometry — label, tiles, tile latency
+    /// and OFM slots — exactly what [`CompiledLayer::materialize`] builds
+    /// its program from.
+    #[must_use]
+    pub fn geometry(&self, i: usize) -> BlockGeometry {
+        match &self.map {
+            MapImpl::Pwc(m) => m.geometry(i),
+            MapImpl::DwcS1(m) => m.geometry(i),
+            MapImpl::DwcGeneral(m) => m.geometry(i),
+            MapImpl::MatmulDwc(m) => m.geometry(i),
+            MapImpl::BatchedDwcS1(m) => m.geometry(i),
+        }
+    }
+
+    /// The program's [`BlockSurface`]: every block's geometry with its OFM
+    /// slots compressed to runs, built on first call and shared by every
+    /// later run on any thread. Whether the blocks partition the OFM is
+    /// part of it: [`BlockSurface::blocks`] is an error if they do not.
+    pub fn surface(&self) -> &BlockSurface {
+        let shape = (self.layer.out_channels(), self.layer.out_h(), self.layer.out_w());
+        self.surface
+            .get_or_init(|| Box::new(BlockSurface::build(shape, (0..self.num_blocks()).map(|i| self.geometry(i)))))
     }
 
     /// Prepare an input for [`CompiledLayer::materialize`]: depthwise
@@ -433,6 +472,50 @@ mod tests {
         let timed = compiled.timing_report();
         assert_eq!(functional.cycles, timed.cycles);
         assert_eq!(functional.compute_cycles, timed.compute_cycles);
+    }
+
+    #[test]
+    fn the_surface_is_lazy_shared_and_never_built_by_compile() {
+        let layer = ConvLayer::depthwise("dw", 4, 10, 10, 3, 1, 1);
+        let compiled = CompiledLayer::compile(&layer, &spec4(), MappingKind::Auto).unwrap();
+        assert!(compiled.surface.get().is_none(), "compile does no surface work");
+        // The cycle tier never asks for it.
+        let (ifm, w) = (Tensor::random(4, 10, 10, 1), layer.random_weights(2));
+        compiled.run_on(&mut Machine::new(&spec4()), &ifm, &w).unwrap();
+        assert!(compiled.surface.get().is_none());
+        let blocks = compiled.surface().blocks().unwrap();
+        assert_eq!(blocks.len(), compiled.num_blocks());
+        assert!(std::ptr::eq(compiled.surface(), compiled.surface()), "built once");
+        assert!(blocks.iter().all(|b| b.compute_cycles() == compiled.block_compute_cycles()));
+    }
+
+    #[test]
+    fn a_surface_that_fails_its_partition_proof_fails_the_run_with_a_typed_error() {
+        use crate::exec::{ExecutionBackend, FastMachine};
+        // A "mapping" whose second block re-extracts the first block's
+        // words (and so also leaves a hole): the fast tier must refuse to
+        // run it in every integrity mode, not return a wrong tensor.
+        let layer = ConvLayer::depthwise("dw", 2, 8, 8, 3, 1, 1);
+        let compiled = CompiledLayer::compile(&layer, &spec4(), MappingKind::Auto).unwrap();
+        assert!(compiled.num_blocks() >= 2);
+        let broken = BlockSurface::build(
+            (2, 8, 8),
+            (0..compiled.num_blocks()).map(|i| compiled.geometry(i.saturating_sub(1))),
+        );
+        compiled.surface.set(Box::new(broken)).expect("surface not built yet");
+        let (ifm, w) = (Tensor::random(2, 8, 8, 3), layer.random_weights(4));
+        for mode in [IntegrityMode::Off, IntegrityMode::Verify, IntegrityMode::VerifyAndRecompute] {
+            let mut fast = FastMachine::new(&spec4());
+            fast.set_integrity_mode(mode);
+            let err = fast.run_layer(&compiled, &ifm, &w).unwrap_err();
+            assert!(
+                matches!(&err.cause, SimCause::Map(why) if why.contains("extracted twice")),
+                "{mode:?}: {err}"
+            );
+        }
+        // The cycle tier materializes its own blocks and is unaffected.
+        let golden = reference::run_layer(&layer, &ifm, &w).unwrap();
+        assert_eq!(compiled.run_on(&mut Machine::new(&spec4()), &ifm, &w).unwrap().0, golden);
     }
 
     #[test]

@@ -1,30 +1,43 @@
 //! The functional fast tier.
 //!
-//! [`FastMachine`] runs a [`CompiledLayer`] without simulating cycles: the
-//! layer's outputs are computed once with straight-line tensor arithmetic
-//! (chunked lane loops over the flat CHW data — the scalar form of the PE
-//! lanes, and exactly the golden reference's wrapping `i16`×`i16`→`i32`
-//! contract, so outputs are bit-identical to the cycle tier), and each
-//! block's cycle charge comes from the closed-form latency model the
-//! mapping planned (`tiles × tile_latency` compute, [`DmaEngine`] transfer
-//! cycles for DMA, folded through the same double-buffered pipeline
-//! formula). `timing_report_matches_functional` in [`crate::compiled`] is
-//! the proof obligation that makes this exact: on a fault-free run the
-//! cycle-accurate machine measures precisely the planned cycles.
+//! [`FastMachine`] runs a [`CompiledLayer`] without simulating cycles, and
+//! without rebuilding anything that no input can change. A run is three
+//! things:
 //!
-//! Chaos fidelity: an installed [`FaultPlan`] is replayed over the same
-//! `(run, tile, cycle)` lattice the cycle tier walks — structural draws
-//! corrupt one extracted OFM word (one bit, deterministically chosen from
-//! the site), temporal draws burn budget/wall time with the machine's exact
-//! stall/slowdown/wedge semantics — so ABFT detection, watchdog preemption
-//! and cycle-budget liveness all keep firing under the fast tier. What the
-//! fast tier does *not* model is microarchitectural fault propagation (a
-//! flipped input word corrupting several outputs, or a GRF trim tripping a
-//! hardware rule): every structural fault lands as a single-bit output
-//! corruption, which ABFT catches at least as often as the cycle tier's.
+//! 1. **One write of the OFM.** [`functional_ofm`] computes the layer with
+//!    host arithmetic — exactly the golden reference's wrapping
+//!    `i16`×`i16`→`i32` contract, so outputs are bit-identical to the cycle
+//!    tier — straight into the tensor the run returns. There is no padded
+//!    IFM, no H-MEM/V-MEM image, no per-block entry list and no scatter.
+//! 2. **One charge per block, from the surface.** The program's
+//!    [`BlockSurface`](crate::BlockSurface) — built once per
+//!    [`CompiledLayer`], on its first fast-tier run, and shared by every
+//!    run after — holds each block's label, tile count, tile latency and
+//!    the OFM words it extracts (as runs over the tensor, with a proof that
+//!    the blocks extract every word exactly once). A block's cycle charge
+//!    is `tiles × tile_latency` compute plus [`DmaEngine`] transfer cycles,
+//!    folded through the double-buffered pipeline formula;
+//!    `timing_report_matches_functional` in [`crate::compiled`] is the
+//!    proof obligation that makes this exact.
+//! 3. **ABFT per block, in place.** Under an [`IntegrityMode`] other than
+//!    `Off`, each block's runs are verified where they lie in the tensor
+//!    against the same checksum identities the cycle tier checks
+//!    ([`crate::integrity`]), and healed there on a mismatch.
+//!
+//! There is one path: a clean run is a chaos run whose plan schedules
+//! nothing. An installed [`FaultPlan`] is replayed over the same `(run,
+//! tile, cycle)` lattice the cycle tier walks — structural draws corrupt
+//! one of the block's OFM words in place (one bit, slot and bit chosen
+//! deterministically from the site), temporal draws burn budget/wall time
+//! with the machine's exact stall/slowdown/wedge semantics — so ABFT
+//! detection, watchdog preemption and cycle-budget liveness all keep firing
+//! under the fast tier. What the fast tier does *not* model is
+//! microarchitectural fault propagation (a flipped input word corrupting
+//! several outputs, or a GRF trim tripping a hardware rule): every
+//! structural fault lands as a single-bit output corruption, which ABFT
+//! catches at least as often as the cycle tier's.
 
 use npcgra_arch::CgraSpec;
-use npcgra_kernels::BlockProgram;
 use npcgra_mem::dma::double_buffered_cycles_exact;
 use npcgra_mem::DmaEngine;
 use npcgra_nn::{truncate, Acc, ConvKind, ConvLayer, Tensor, Word};
@@ -32,20 +45,17 @@ use npcgra_nn::{truncate, Acc, ConvKind, ConvLayer, Tensor, Word};
 use crate::cancel::CancelToken;
 use crate::compiled::CompiledLayer;
 use crate::error::{SimCause, SimError};
-use crate::fault::{FaultDims, FaultPlan, FaultSite, TemporalFault};
-use crate::integrity::{self, IntegrityMode, OfmEntry};
+use crate::fault::{splitmix64, FaultDims, FaultPlan, FaultSite, TemporalFault};
+use crate::integrity::{self, AbftScratch, IntegrityMode};
 use crate::machine::check_liveness;
 use crate::report::LayerReport;
+use crate::surface::{BlockSlots, SurfaceBlock};
 
 use super::{BackendTier, ExecutionBackend};
 
 /// Wall-clock pace of a wedged run — same as the cycle tier's, so watchdog
 /// cancellation latency is identical across tiers.
 const WEDGE_PACE: std::time::Duration = std::time::Duration::from_micros(100);
-
-/// Chunk width of the lane loops (accumulators processed per chunk; wide
-/// enough for the autovectorizer, small enough to stay in registers).
-const LANE: usize = 16;
 
 /// The functional fast-tier backend.
 ///
@@ -64,6 +74,8 @@ pub struct FastMachine {
     runs: u64,
     faults_injected: u64,
     temporal_injected: u64,
+    /// ABFT working memory, reused across blocks and runs.
+    abft: AbftScratch,
 }
 
 impl FastMachine {
@@ -79,14 +91,16 @@ impl FastMachine {
             runs: 0,
             faults_injected: 0,
             temporal_injected: 0,
+            abft: AbftScratch::default(),
         }
     }
 
-    /// Replay the fault plan over the block's `(tile, cycle)` lattice and
-    /// return the compute-cycle charge. Without a plan this is the pure
+    /// Replay the fault plan over the block's `(tile, cycle)` lattice,
+    /// landing structural faults on the block's words of `ofm`, and return
+    /// the compute-cycle charge. Without a plan this is the pure
     /// closed-form charge plus the budget gate.
-    fn charge_block(&mut self, prog: &BlockProgram, entries: &mut [OfmEntry]) -> Result<u64, SimError> {
-        let clean = prog.compute_cycles();
+    fn charge_block(&mut self, label: &str, block: &SurfaceBlock, ofm: &mut Tensor) -> Result<u64, SimError> {
+        let clean = block.compute_cycles();
         let Some(plan) = self.fault_plan.clone() else {
             if let Some(budget) = self.cycle_budget {
                 // The cycle tier checks the budget before each cycle with
@@ -95,11 +109,11 @@ impl FastMachine {
                 // first failing check for the error's (tile, cycle) fields.
                 if clean > 0 && clean - 1 > budget {
                     let spent = budget + 1;
-                    let per_tile = prog.mapping.tile_latency().max(1);
+                    let per_tile = block.tile_latency().max(1);
                     let tile = usize::try_from(spent / per_tile).unwrap_or(usize::MAX);
                     return Err(SimError::new(
-                        &prog.label,
-                        tile.min(prog.tiles.tiles().saturating_sub(1)),
+                        label,
+                        tile.min(block.tiles().saturating_sub(1)),
                         spent % per_tile,
                         SimCause::CycleBudgetExceeded { budget },
                     ));
@@ -107,31 +121,14 @@ impl FastMachine {
             }
             return Ok(clean);
         };
-        let dims = FaultDims {
-            rows: self.spec.rows,
-            cols: self.spec.cols,
-            h_banks: self.spec.rows,
-            h_words: (self.spec.hmem_bytes / self.spec.word_bytes / self.spec.rows).max(1),
-            v_banks: self.spec.cols,
-            v_words: ({
-                let v_total = if self.spec.vmem_bytes == 0 {
-                    self.spec.hmem_bytes
-                } else {
-                    self.spec.vmem_bytes
-                };
-                v_total / self.spec.word_bytes / self.spec.cols
-            })
-            .max(1),
-        };
-        let n_tiles = prog.tiles.tiles();
-        let per_tile = prog.mapping.tile_latency();
+        let dims = FaultDims::for_spec(&self.spec);
         let mut compute = 0u64;
-        for tile in 0..n_tiles {
+        for tile in 0..block.tiles() {
             // Slowdown factors clear at the tile boundary, as on the
             // cycle tier.
             let mut slow_factor = 1u64;
-            for cyc in 0..per_tile {
-                let err = |cause: SimCause| SimError::new(&prog.label, tile, cyc, cause);
+            for cyc in 0..block.tile_latency() {
+                let err = |cause: SimCause| SimError::new(label, tile, cyc, cause);
                 check_liveness(self.cancel.as_ref(), self.cycle_budget, compute).map_err(err)?;
                 for site in plan.sites_at(self.runs, tile, cyc, &dims) {
                     match site {
@@ -158,7 +155,7 @@ impl FastMachine {
                             }
                         }
                         site => {
-                            if flip_entry(site, entries) {
+                            if flip_slot(site, &block.slots, ofm) {
                                 self.faults_injected += 1;
                             }
                         }
@@ -212,45 +209,34 @@ impl ExecutionBackend for FastMachine {
         assert_eq!(self.spec, *compiled.spec(), "machine/compiled-layer spec mismatch");
         let layer = compiled.layer();
         let mode = self.integrity;
-        // One functional pass produces every output the blocks will extract.
-        let golden = functional_ofm(layer, ifm, weights);
-        let prepared = compiled.prepare(ifm);
+        let surface = compiled.surface();
+        // One functional pass writes every word the blocks extract, where
+        // the caller will read it.
+        let mut ofm = functional_ofm(layer, ifm, weights);
         let engine = DmaEngine::new(&self.spec);
         let dma_cycles =
             engine.transfer_cycles(compiled.block_input_words()) + engine.transfer_cycles(compiled.block_output_words());
-        let mut ofm = Tensor::zeros(layer.out_channels(), layer.out_h(), layer.out_w());
         let mut blocks: Vec<(u64, u64)> = Vec::with_capacity(compiled.num_blocks());
         let (mut checked, mut failed, mut recovered) = (0u64, 0u64, 0u64);
-        for i in 0..compiled.num_blocks() {
-            let prog = compiled.materialize(i, &prepared, weights);
+        for (i, block) in surface.blocks()?.iter().enumerate() {
+            let label = surface.label(i);
             self.runs += 1;
             // Block-boundary cancellation check, as on the cycle tier. A
             // fast-tier block runs in microseconds of wall time, so the
             // per-cycle cancellation granularity of the cycle tier adds
             // nothing here (temporal faults re-check per burned cycle).
-            check_liveness(self.cancel.as_ref(), None, 0).map_err(|cause| SimError::new(&prog.label, 0, 0, cause))?;
-            let mut entries: Vec<OfmEntry> = prog
-                .ofm_slots
-                .iter()
-                .map(|s| (s.c, s.y, s.x, golden.get(s.c, s.y, s.x)))
-                .collect();
-            let compute = self.charge_block(&prog, &mut entries)?;
+            check_liveness(self.cancel.as_ref(), None, 0).map_err(|cause| SimError::new(label, 0, 0, cause))?;
+            let compute = self.charge_block(label, block, &mut ofm)?;
             if mode != IntegrityMode::Off {
                 checked += 1;
-                match integrity::verify_block(layer, ifm, weights, &entries) {
-                    Ok(()) => {}
-                    Err(v) => {
-                        failed += 1;
-                        if mode == IntegrityMode::Verify {
-                            return Err(SimError::new(layer.name(), i, 0, SimCause::IntegrityViolation(v)));
-                        }
-                        integrity::heal_block(layer, ifm, weights, &mut entries);
-                        recovered += 1;
+                if let Err(v) = integrity::verify_slots(layer, ifm, weights, &ofm, &block.slots, &mut self.abft) {
+                    failed += 1;
+                    if mode == IntegrityMode::Verify {
+                        return Err(SimError::new(layer.name(), i, 0, SimCause::IntegrityViolation(v)));
                     }
+                    integrity::heal_slots(layer, ifm, weights, &mut ofm, &block.slots);
+                    recovered += 1;
                 }
-            }
-            for &(c, y, x, v) in &entries {
-                ofm.set(c, y, x, v);
             }
             blocks.push((compute, dma_cycles));
         }
@@ -266,21 +252,13 @@ impl ExecutionBackend for FastMachine {
     }
 }
 
-/// `splitmix64` (local copy of the fault module's private mixer): derives
-/// the deterministic entry index a structural fault corrupts.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Land a structural fault site on the block's extracted outputs: flip one
-/// bit of one entry, both chosen as a pure function of the site. Returns
-/// whether anything changed (empty blocks absorb the fault, mirroring the
-/// cycle tier's flips into unloaded resources).
-fn flip_entry(site: FaultSite, entries: &mut [OfmEntry]) -> bool {
-    if entries.is_empty() {
+/// Land a structural fault site on the block's words of `ofm`: flip one
+/// bit of one slot, both chosen as a pure function of the site — the
+/// `h % len`-th slot in `ofm_slots` order. Returns whether anything changed
+/// (empty blocks absorb the fault, mirroring the cycle tier's flips into
+/// unloaded resources).
+fn flip_slot(site: FaultSite, slots: &BlockSlots, ofm: &mut Tensor) -> bool {
+    if slots.is_empty() {
         return false;
     }
     let (salt, a, b, bit) = match site {
@@ -292,18 +270,17 @@ fn flip_entry(site: FaultSite, entries: &mut [OfmEntry]) -> bool {
         FaultSite::Temporal(_) => return false,
     };
     let h = splitmix64(salt ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.rotate_left(32));
-    let idx = usize::try_from(h % entries.len() as u64).expect("index fits");
-    entries[idx].3 ^= (1 as Word) << (bit % Word::BITS);
+    let slot = usize::try_from(h % slots.len() as u64).expect("index fits");
+    ofm.as_mut_slice()[slots.flat_index(slot)] ^= (1 as Word) << (bit % Word::BITS);
     true
 }
 
 /// Compute a whole layer's OFM with straight-line host arithmetic —
 /// bit-identical to [`npcgra_nn::reference::run_layer`] (same wrapping
 /// `i16`×`i16`→`i32` accumulate, same [`truncate`] finish; wrapping `i32`
-/// addition is associative and commutative, so the tap-major accumulation
-/// order used here for lane-friendly inner loops changes nothing), but
-/// structured as chunked loops over the flat CHW planes so the compiler
-/// vectorizes the hot paths.
+/// addition is associative and commutative, so the accumulation orders
+/// chosen here for lane-wide inner loops change nothing), written once
+/// into the tensor that is returned.
 ///
 /// # Panics
 ///
@@ -311,144 +288,157 @@ fn flip_entry(site: FaultSite, entries: &mut [OfmEntry]) -> bool {
 /// contract as the golden reference).
 #[must_use]
 pub fn functional_ofm(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor) -> Tensor {
+    assert_eq!(
+        ifm.shape(),
+        (layer.in_channels(), layer.in_h(), layer.in_w()),
+        "ifm does not match {}",
+        layer.name()
+    );
+    let mut out = Tensor::zeros(layer.out_channels(), layer.out_h(), layer.out_w());
     match layer.kind() {
-        ConvKind::Pointwise => pointwise_ofm(layer, ifm, weights),
-        ConvKind::Depthwise => depthwise_ofm(layer, ifm, weights),
-        ConvKind::Standard => standard_ofm(layer, ifm, weights),
+        ConvKind::Pointwise => pointwise_into(layer, ifm, weights, &mut out),
+        ConvKind::Depthwise | ConvKind::Standard => windowed_into(layer, ifm, weights, &mut out),
     }
+    out
 }
 
-/// Flush an accumulator plane into output channel `o`.
-fn store_plane(layer: &ConvLayer, out: &mut Tensor, o: usize, accs: &[Acc]) {
+/// Finish accumulators into output words: activation at accumulator level,
+/// then the 16-bit store.
+fn store(layer: &ConvLayer, dst: &mut [Word], accs: &[Acc]) {
     let act = layer.activation();
-    let base = out.index(o, 0, 0);
-    for (dst, &a) in out.as_mut_slice()[base..base + accs.len()].iter_mut().zip(accs) {
-        *dst = truncate(act.apply_acc(a));
+    for (d, &a) in dst.iter_mut().zip(accs) {
+        *d = truncate(act.apply_acc(a));
     }
 }
 
-fn pointwise_ofm(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor) -> Tensor {
+/// Words of transposed IFM a pointwise pixel block may hold (16 KB: it and
+/// one weight row stay in L1 while every output channel reads them).
+const PWC_BLOCK_WORDS: usize = 8192;
+
+/// Four wrapping dot products of `w` against four equally long rows.
+#[inline]
+fn dot4(w: &[Word], x: [&[Word]; 4]) -> [Acc; 4] {
+    let n = w.len();
+    let (x0, x1, x2, x3) = (&x[0][..n], &x[1][..n], &x[2][..n], &x[3][..n]);
+    let mut acc = [0 as Acc; 4];
+    for i in 0..n {
+        let wv = Acc::from(w[i]);
+        acc[0] = acc[0].wrapping_add(wv.wrapping_mul(Acc::from(x0[i])));
+        acc[1] = acc[1].wrapping_add(wv.wrapping_mul(Acc::from(x1[i])));
+        acc[2] = acc[2].wrapping_add(wv.wrapping_mul(Acc::from(x2[i])));
+        acc[3] = acc[3].wrapping_add(wv.wrapping_mul(Acc::from(x3[i])));
+    }
+    acc
+}
+
+/// Pointwise convolution as a blocked matmul `out[o][p] = w[o]·x[..][p]`
+/// with the lanes along the reduction axis `N_i`: a block of pixels is
+/// transposed once to `[pixel][N_i]`, then every output channel takes dot
+/// products of its (contiguous) weight row against the block's pixel rows,
+/// four pixels at a time. The inner loops are `N_i` long whatever the plane
+/// size, so the late 4×4/2×2/1×1 planes run as lane-wide as the early ones.
+fn pointwise_into(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, out: &mut Tensor) {
     let (ni, no) = (layer.in_channels(), layer.out_channels());
-    let (h, w) = (layer.out_h(), layer.out_w());
-    let hw = h * w;
-    let x = ifm.as_slice();
-    let mut out = Tensor::zeros(no, h, w);
-    let mut accs: Vec<Acc> = vec![0; hw];
-    for o in 0..no {
-        accs.fill(0);
+    let hw = layer.out_h() * layer.out_w();
+    assert_eq!(weights.shape(), (no, 1, ni), "weights do not match {}", layer.name());
+    let (x, w) = (ifm.as_slice(), weights.as_slice());
+    let out = out.as_mut_slice();
+    // Pixels per block: a multiple of four (the dot-product group).
+    let block = (PWC_BLOCK_WORDS / ni).clamp(4, hw.next_multiple_of(4)) / 4 * 4;
+    // The transposed block; rows past a short last block's pixels hold
+    // stale words whose dot products are computed and never stored.
+    let mut xt: Vec<Word> = vec![0; block * ni];
+    let mut accs: Vec<Acc> = vec![0; block];
+    for p0 in (0..hw).step_by(block) {
+        let pixels = block.min(hw - p0);
         for i in 0..ni {
-            let wv = Acc::from(weights.get(o, 0, i));
-            if wv == 0 {
-                // A zero weight contributes exactly 0 to the wrapping sum.
-                continue;
-            }
-            let plane = &x[ifm.index(i, 0, 0)..][..hw];
-            for (alane, xlane) in accs.chunks_mut(LANE).zip(plane.chunks(LANE)) {
-                for (a, &xv) in alane.iter_mut().zip(xlane) {
-                    *a = a.wrapping_add(Acc::from(xv).wrapping_mul(wv));
-                }
+            for (j, &v) in x[i * hw + p0..][..pixels].iter().enumerate() {
+                xt[j * ni + i] = v;
             }
         }
-        store_plane(layer, &mut out, o, &accs);
-    }
-    out
-}
-
-/// Accumulate one kernel tap (`ky`, `kx`) of input channel `c`, weighted
-/// `wv`, into the `oh`×`ow` accumulator plane. The valid output range is
-/// hoisted out of the inner loop so the zero-padding border costs nothing
-/// and the stride-1 common case is a straight slice zip.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_tap(accs: &mut [Acc], layer: &ConvLayer, x: &[Word], ifm: &Tensor, c: usize, wv: Acc, ky: usize, kx: usize) {
-    let (s, pad) = (layer.s(), layer.pad());
-    let (ih, iw) = (layer.in_h() as isize, layer.in_w() as isize);
-    let (oh, ow) = (layer.out_h(), layer.out_w());
-    let off_x = kx as isize - pad as isize;
-    // Valid ox range: 0 <= ox*s + off_x < iw.
-    let lo_x = if off_x >= 0 {
-        0
-    } else {
-        usize::try_from(-off_x).expect("positive").div_ceil(s)
-    };
-    let hi_x = if iw <= off_x {
-        0
-    } else {
-        (usize::try_from(iw - 1 - off_x).expect("positive") / s + 1).min(ow)
-    };
-    if lo_x >= hi_x {
-        return;
-    }
-    for (oy, arow) in accs.chunks_exact_mut(ow).enumerate().take(oh) {
-        let iy = (oy * s + ky) as isize - pad as isize;
-        if iy < 0 || iy >= ih {
-            continue;
-        }
-        let row = ifm.index(c, usize::try_from(iy).expect("in range"), 0);
-        let arow = &mut arow[lo_x..hi_x];
-        let first_ix = usize::try_from((lo_x * s) as isize + off_x).expect("in range");
-        if s == 1 {
-            let xrow = &x[row + first_ix..][..arow.len()];
-            for (a, &xv) in arow.iter_mut().zip(xrow) {
-                *a = a.wrapping_add(Acc::from(xv).wrapping_mul(wv));
+        for o in 0..no {
+            let wrow = &w[o * ni..][..ni];
+            for (g, acc) in accs[..pixels.next_multiple_of(4)].chunks_exact_mut(4).enumerate() {
+                let row = |j: usize| &xt[(g * 4 + j) * ni..][..ni];
+                acc.copy_from_slice(&dot4(wrow, [row(0), row(1), row(2), row(3)]));
             }
-        } else {
-            for (j, a) in arow.iter_mut().enumerate() {
-                *a = a.wrapping_add(Acc::from(x[row + first_ix + j * s]).wrapping_mul(wv));
-            }
+            store(layer, &mut out[o * hw + p0..][..pixels], &accs[..pixels]);
         }
     }
 }
 
-fn depthwise_ofm(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor) -> Tensor {
-    let ch = layer.in_channels();
-    let k = layer.k();
-    let (oh, ow) = (layer.out_h(), layer.out_w());
-    let x = ifm.as_slice();
-    let mut out = Tensor::zeros(ch, oh, ow);
-    let mut accs: Vec<Acc> = vec![0; oh * ow];
-    for c in 0..ch {
-        accs.fill(0);
-        for ky in 0..k {
-            for kx in 0..k {
-                let wv = Acc::from(weights.get(c, ky, kx));
-                if wv == 0 {
-                    continue;
-                }
-                accumulate_tap(&mut accs, layer, x, ifm, c, wv, ky, kx);
-            }
-        }
-        store_plane(layer, &mut out, c, &accs);
+/// `accs[j] += xs[j] · wv`, wrapping.
+#[inline]
+fn multiply_accumulate(accs: &mut [Acc], xs: impl Iterator<Item = Word>, wv: Acc) {
+    for (a, xv) in accs.iter_mut().zip(xs) {
+        *a = a.wrapping_add(Acc::from(xv).wrapping_mul(wv));
     }
-    out
 }
 
-fn standard_ofm(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor) -> Tensor {
-    let groups = layer.groups();
-    let cin_g = layer.in_channels() / groups;
-    let cout_g = layer.out_channels() / groups;
-    let k = layer.k();
+/// Depthwise and (grouped) standard convolution as a row-sliding window:
+/// one output row's accumulators stay hot while the `K` input rows under
+/// it are swept tap by tap, each tap a contiguous (stride 1) or strided
+/// multiply-accumulate over the columns whose input falls inside the
+/// image — the zero-padding border costs nothing.
+fn windowed_into(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, out: &mut Tensor) {
+    let (k, s, pad) = (layer.k(), layer.s(), layer.pad());
+    let (ih, iw) = (layer.in_h(), layer.in_w());
     let (oh, ow) = (layer.out_h(), layer.out_w());
-    let x = ifm.as_slice();
-    let mut out = Tensor::zeros(layer.out_channels(), oh, ow);
-    let mut accs: Vec<Acc> = vec![0; oh * ow];
+    // Input and output channels per group. Depthwise is the grouped case
+    // with one of each, so one loop serves both: output channel `o` reads
+    // `inputs` input channels, and its tap `(ci, ky, kx)` is word
+    // `(ky·K + kx)·inputs + ci` of its `K·K·inputs` weights.
+    let inputs = layer.in_channels() / layer.groups();
+    let outputs = layer.out_channels() / layer.groups();
+    assert_eq!(
+        weights.len(),
+        layer.out_channels() * k * k * inputs,
+        "weights do not match {}",
+        layer.name()
+    );
+    let (x, w) = (ifm.as_slice(), weights.as_slice());
+    // Per kernel column: the output columns `lo..hi` whose input column
+    // `ox·s + kx − pad` is inside the image.
+    let spans: Vec<(usize, usize)> = (0..k)
+        .map(|kx| {
+            let lo = pad.saturating_sub(kx).div_ceil(s).min(ow);
+            let hi = (iw + pad).saturating_sub(kx).div_ceil(s).min(ow);
+            (lo, hi.max(lo))
+        })
+        .collect();
+    let mut accs: Vec<Acc> = vec![0; ow];
     for o in 0..layer.out_channels() {
-        accs.fill(0);
-        let grp = o / cout_g;
-        for ci in 0..cin_g {
-            let c = grp * cin_g + ci;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let wv = Acc::from(weights.get(o, ky, kx * cin_g + ci));
-                    if wv == 0 {
+        let first_in = o / outputs * inputs;
+        let taps = &w[o * k * k * inputs..][..k * k * inputs];
+        for oy in 0..oh {
+            accs.fill(0);
+            for ci in 0..inputs {
+                let plane = &x[(first_in + ci) * ih * iw..][..ih * iw];
+                for ky in 0..k {
+                    let Some(iy) = (oy * s + ky).checked_sub(pad).filter(|&iy| iy < ih) else {
                         continue;
+                    };
+                    let xrow = &plane[iy * iw..][..iw];
+                    for (kx, &(lo, hi)) in spans.iter().enumerate() {
+                        let wv = Acc::from(taps[(ky * k + kx) * inputs + ci]);
+                        // A zero weight contributes exactly 0 to the
+                        // wrapping sum.
+                        if wv == 0 || lo == hi {
+                            continue;
+                        }
+                        let xs = &xrow[lo * s + kx - pad..];
+                        match s {
+                            1 => multiply_accumulate(&mut accs[lo..hi], xs.iter().copied(), wv),
+                            // A constant stride keeps the loop lane-wide.
+                            2 => multiply_accumulate(&mut accs[lo..hi], xs.chunks(2).map(|pair| pair[0]), wv),
+                            _ => multiply_accumulate(&mut accs[lo..hi], xs.iter().step_by(s).copied(), wv),
+                        }
                     }
-                    accumulate_tap(&mut accs, layer, x, ifm, c, wv, ky, kx);
                 }
             }
+            store(layer, &mut out.as_mut_slice()[(o * oh + oy) * ow..][..ow], &accs);
         }
-        store_plane(layer, &mut out, o, &accs);
     }
-    out
 }
 
 #[cfg(test)]

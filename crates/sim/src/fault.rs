@@ -29,6 +29,7 @@
 //! Nothing here costs anything when no plan is installed: the machine's
 //! per-cycle check is a single `Option` discriminant test.
 
+use npcgra_arch::CgraSpec;
 use npcgra_nn::Word;
 
 /// A temporal (gray) fault: the tile loses time instead of corrupting
@@ -119,7 +120,7 @@ pub struct Fault {
 }
 
 /// Array/memory dimensions a plan draws random sites from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultDims {
     /// PE rows.
     pub rows: usize,
@@ -133,6 +134,30 @@ pub struct FaultDims {
     pub v_banks: usize,
     /// Words per V-MEM bank.
     pub v_words: usize,
+}
+
+impl FaultDims {
+    /// The fault lattice of a machine built from `spec` — the one
+    /// derivation both tiers draw from (the cycle tier also sizes its
+    /// memories from it), so a seeded plan lands on the same sites
+    /// whichever tier replays it. A spec without a separate V-MEM
+    /// (`vmem_bytes == 0`) views the undivided local memory column-wise.
+    #[must_use]
+    pub fn for_spec(spec: &CgraSpec) -> Self {
+        let v_bytes = if spec.vmem_bytes == 0 {
+            spec.hmem_bytes
+        } else {
+            spec.vmem_bytes
+        };
+        FaultDims {
+            rows: spec.rows,
+            cols: spec.cols,
+            h_banks: spec.rows,
+            h_words: (spec.hmem_bytes / spec.word_bytes / spec.rows).max(1),
+            v_banks: spec.cols,
+            v_words: (v_bytes / spec.word_bytes / spec.cols).max(1),
+        }
+    }
 }
 
 /// Shape of the temporal faults a [`FaultPlan::gray`] plan draws.
@@ -172,8 +197,10 @@ pub struct FaultPlan {
     mode: Mode,
 }
 
-/// `splitmix64` — tiny, fast, well-mixed; the standard seeding PRNG.
-fn splitmix64(mut x: u64) -> u64 {
+/// `splitmix64` — tiny, fast, well-mixed; the standard seeding PRNG. The
+/// crate's one copy: fault draws, the fast tier's flip placement and
+/// [`tensor_checksum`](crate::integrity::tensor_checksum) all mix with it.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -360,6 +387,16 @@ fn random_site(h: u64, dims: &FaultDims) -> FaultSite {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_is_the_reference_mixer() {
+        // The first two outputs of the reference generator seeded with 0.
+        // Fault draws, fast-tier flip placement and `tensor_checksum` all
+        // hash through this one function, so their outputs move only if
+        // this does.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+    }
 
     fn dims() -> FaultDims {
         FaultDims {

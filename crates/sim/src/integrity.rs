@@ -29,9 +29,21 @@
 //! recompute of the block's own outputs — same asymptotic cost for
 //! depthwise, and still a per-block (not per-layer) cost for pointwise.
 //!
+//! Each identity is written once, over a [`PixelSet`] of rectangles, and
+//! both tiers call it. The cycle tier checks the entry list its machine
+//! extracted ([`verify_block`], grouping arbitrary entries by channel and
+//! pixel); the fast tier checks a block of the
+//! [`BlockSurface`](crate::BlockSurface) where its runs lie in the OFM
+//! tensor ([`verify_slots`]: the block *is* a channel range × pixel
+//! rectangle, so nothing is grouped or allocated). Same identities, same
+//! order, same [`Violation`].
+//!
 //! [`truncate`]: npcgra_nn::truncate
 
 use npcgra_nn::{truncate, Acc, Activation, ConvKind, ConvLayer, Tensor, Word};
+
+use crate::fault::splitmix64;
+use crate::surface::{BlockSlots, Run};
 
 /// One extracted output word: `(channel, y, x, value)`, exactly as
 /// [`BlockResult::ofm`](crate::BlockResult) carries them.
@@ -103,6 +115,40 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// A set of output pixels of one image plane, handed to the checksum
+/// identities as rectangles `(y, rows, x, len)`: `len` consecutive pixels
+/// from column `x` on each of `rows` consecutive image rows from `y`. Both
+/// callers of the identities speak it — the entry-list verifier (each
+/// listed position a 1×1 rectangle) and the block surface's
+/// [`BlockSlots`] (usually one rectangle per block).
+pub(crate) trait PixelSet {
+    /// Visit the set's rectangles.
+    fn for_each_rect(&self, f: impl FnMut(usize, usize, usize, usize));
+
+    /// Visit the set's row segments `(y, x, len)`, rectangle by rectangle.
+    fn for_each_segment(&self, mut f: impl FnMut(usize, usize, usize)) {
+        self.for_each_rect(|y, rows, x, len| (y..y + rows).for_each(|y| f(y, x, len)));
+    }
+}
+
+impl PixelSet for [(usize, usize)] {
+    fn for_each_rect(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
+        for &(y, x) in self {
+            f(y, 1, x, 1);
+        }
+    }
+}
+
+/// Wrapping sum of words.
+fn total(words: impl Iterator<Item = Word>) -> Word {
+    words.fold(0, Word::wrapping_add)
+}
+
+/// Wrapping sum of a slice of words.
+fn word_sum(words: &[Word]) -> Word {
+    total(words.iter().copied())
+}
+
 /// Verify one block's extracted outputs against the layer's checksum
 /// identity (or, for activated layers, an exact per-element recompute).
 ///
@@ -141,11 +187,244 @@ pub fn heal_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &m
     }
 }
 
-/// Depthwise: per-channel output sums against
-/// `Σ out_c = Σ_taps w_c[k] · Σ ifm_c over the positions tap k touches`.
+/// Reusable working memory of [`verify_slots`]: the pointwise identities'
+/// per-input-channel sums and per-pixel checksums. Owned by the backend, so
+/// verifying a block allocates nothing once the widest layer has been seen.
+#[derive(Debug, Default)]
+pub(crate) struct AbftScratch {
+    words: Vec<Word>,
+}
+
+/// [`verify_block`] for a block of the [`BlockSurface`](crate::BlockSurface):
+/// the same identities, in the same order, returning the same
+/// [`Violation`] — but read straight from the OFM tensor the block's
+/// `slots` index, with no entry list and no per-block allocation.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] found, exactly as [`verify_block`] would
+/// for the block's entry list.
+pub(crate) fn verify_slots(
+    layer: &ConvLayer,
+    ifm: &Tensor,
+    weights: &Tensor,
+    ofm: &Tensor,
+    slots: &BlockSlots,
+    scratch: &mut AbftScratch,
+) -> Result<(), Violation> {
+    if slots.is_empty() {
+        return Ok(());
+    }
+    let out = ofm.as_slice();
+    let plane = layer.out_h() * layer.out_w();
+    // Σ of channel `c`'s words over the block's pixel rows.
+    let channel_sum = |c: usize| {
+        slots.pixel_rows().fold(0 as Word, |acc, (p, len)| {
+            acc.wrapping_add(word_sum(&out[c * plane + p..][..len]))
+        })
+    };
+    let linear = layer.activation() == Activation::None;
+    match layer.kind() {
+        ConvKind::Depthwise if linear => {
+            for c in slots.channels() {
+                let expected = depthwise_expected(layer, ifm, weights, c, slots);
+                check(CheckKind::ChannelSum, c, expected, channel_sum(c))?;
+            }
+            Ok(())
+        }
+        ConvKind::Pointwise if linear => {
+            let n_i = layer.in_channels();
+            let width = layer.out_w();
+            // Every part is overwritten before it is read.
+            let need = 2 * n_i + 2 * width;
+            if scratch.words.len() < need {
+                scratch.words.resize(need, 0);
+            }
+            let (sums, rest) = scratch.words.split_at_mut(n_i);
+            let (cols, rest) = rest.split_at_mut(n_i);
+            let (expected, actual) = rest[..2 * width].split_at_mut(width);
+            pixel_sums(ifm, slots, sums);
+            cols.fill(0);
+            for o in slots.channels() {
+                check(CheckKind::RowChecksum, o, row_expected(weights, o, sums), channel_sum(o))?;
+                // While the weight row is hot: its share of the column side.
+                add_weight_row(weights, o, cols);
+            }
+            let mut first = Ok(());
+            slots.for_each_segment(|y, x, len| {
+                if first.is_err() {
+                    return;
+                }
+                let (expected, actual) = (&mut expected[..len], &mut actual[..len]);
+                column_expected(ifm, cols, y, x, expected);
+                actual.fill(0);
+                for o in slots.channels() {
+                    for (a, &v) in actual.iter_mut().zip(&out[o * plane + y * width + x..][..len]) {
+                        *a = a.wrapping_add(v);
+                    }
+                }
+                if let Some(j) = (0..len).find(|&j| expected[j] != actual[j]) {
+                    first = check(CheckKind::ColumnChecksum, y * width + x + j, expected[j], actual[j]);
+                }
+            });
+            first
+        }
+        // Activated (non-linear) layers: exact per-element recompute, in
+        // slot order.
+        _ => {
+            for flat in slots.runs().flat_map(Run::indices) {
+                let (c, y, x) = slots.coords(flat);
+                check(
+                    CheckKind::Element,
+                    flat,
+                    golden_element(layer, ifm, weights, c, y, x),
+                    out[flat],
+                )?;
+            }
+            Ok(())
+        }
+    }
+}
+
+/// [`heal_block`] for a block of the surface: recompute each of its words
+/// in place in the OFM tensor.
+pub(crate) fn heal_slots(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, ofm: &mut Tensor, slots: &BlockSlots) {
+    for flat in slots.runs().flat_map(Run::indices) {
+        let (c, y, x) = slots.coords(flat);
+        ofm.as_mut_slice()[flat] = golden_element(layer, ifm, weights, c, y, x);
+    }
+}
+
+/// One checksum comparison.
+fn check(kind: CheckKind, lane: usize, expected: Word, actual: Word) -> Result<(), Violation> {
+    if expected == actual {
+        return Ok(());
+    }
+    Err(Violation {
+        kind,
+        lane,
+        expected,
+        actual,
+    })
+}
+
+/// Wrapping sum of `n` words of `row`, `s` apart, from `first`.
+fn strided_sum(row: &[Word], first: usize, s: usize, n: usize) -> Word {
+    match s {
+        1 => word_sum(&row[first..first + n]),
+        // A constant stride keeps the loop lane-wide.
+        2 => total(row[first..].chunks(2).take(n).map(|pair| pair[0])),
+        _ => total(row[first..].iter().step_by(s).take(n).copied()),
+    }
+}
+
+/// The depthwise identity's input side for channel `c` over an output
+/// pixel set: `Σ_taps w_c[k] · Σ ifm_c over the positions tap k touches`.
+///
+/// Regrouped by *input row* so each is swept once per rectangle: row `r`
+/// feeds kernel row `ky` of output row `oy` wherever `oy·S + ky − pad = r`,
+/// so its window sum for tap column `kx` is weighted by the sum of those
+/// `w[ky][kx]`. Only the first `S` tap columns are summed directly: tap
+/// column `kx + S` reads what `kx` reads one output column to the right,
+/// so its sum is the previous one minus the word that left the window plus
+/// the one that entered. (Wrapping arithmetic is a ring, so regrouping the
+/// products changes nothing.)
+fn depthwise_expected(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, c: usize, pixels: &(impl PixelSet + ?Sized)) -> Word {
+    let (k, s, pad) = (layer.k(), layer.s(), layer.pad());
+    let (ih, iw) = (layer.in_h(), layer.in_w());
+    let plane = &ifm.as_slice()[ifm.index(c, 0, 0)..][..ih * iw];
+    let taps = &weights.as_slice()[weights.index(c, 0, 0)..][..k * k];
+    let mut expected: Word = 0;
+    pixels.for_each_rect(|oy, rows, ox, len| {
+        for first_kx in 0..s.min(k) {
+            // Output columns `lo..hi` of the rectangle whose input column
+            // `(ox + j)·s + kx − pad` is inside the image.
+            let lo = pad.saturating_sub(first_kx).div_ceil(s).saturating_sub(ox).min(len);
+            let hi = (iw + pad).saturating_sub(first_kx).div_ceil(s).saturating_sub(ox).min(len);
+            // Input rows under the rectangle, in padded coordinates
+            // (`r + pad`).
+            for padded in (oy * s).max(pad)..((oy + rows - 1) * s + k).min(ih + pad) {
+                let row = &plane[(padded - pad) * iw..][..iw];
+                // The kernel rows that read this input row for some output
+                // row `oy'` of the rectangle (`oy'·s + ky = padded`): every
+                // `s`-th from the first at or above `padded − (oy+rows−1)·s`,
+                // up to `padded − oy·s`. Their weights are summed per tap
+                // column.
+                let above = padded.saturating_sub((oy + rows - 1) * s);
+                let first_ky = above + (padded - above) % s;
+                let last_ky = (padded - oy * s).min(k - 1);
+                let weight = |kx: usize| {
+                    (first_ky..=last_ky)
+                        .step_by(s)
+                        .fold(0, |acc: Word, ky| acc.wrapping_add(taps[ky * k + kx]))
+                };
+                // The input word `pad` columns left of `col`; padding reads 0.
+                let at = |col: usize| col.checked_sub(pad).and_then(|col| row.get(col)).copied().unwrap_or(0);
+                let mut sum = if lo < hi {
+                    strided_sum(row, (ox + lo) * s + first_kx - pad, s, hi - lo)
+                } else {
+                    0
+                };
+                let mut kx = first_kx;
+                loop {
+                    expected = expected.wrapping_add(weight(kx).wrapping_mul(sum));
+                    if kx + s >= k {
+                        break;
+                    }
+                    sum = sum.wrapping_sub(at(ox * s + kx)).wrapping_add(at((ox + len) * s + kx));
+                    kx += s;
+                }
+            }
+        }
+    });
+    expected
+}
+
+/// The pointwise row identity's input side: `sums[i] = Σ_{p∈P} ifm(i, p)`.
+fn pixel_sums(ifm: &Tensor, pixels: &(impl PixelSet + ?Sized), sums: &mut [Word]) {
+    let (_, h, w) = ifm.shape();
+    let x = ifm.as_slice();
+    sums.fill(0);
+    pixels.for_each_segment(|y, x0, len| {
+        assert!(y < h && x0 + len <= w, "segment ({y},{x0},{len}) outside the {h}x{w} plane");
+        for (sum, plane) in sums.iter_mut().zip(x.chunks_exact(h * w)) {
+            *sum = sum.wrapping_add(word_sum(&plane[y * w + x0..][..len]));
+        }
+    });
+}
+
+/// The pointwise row identity for output channel `o`: `Σ_i w(o,i) · sums[i]`.
+fn row_expected(weights: &Tensor, o: usize, sums: &[Word]) -> Word {
+    let row = &weights.as_slice()[weights.index(o, 0, 0)..][..sums.len()];
+    row.iter()
+        .zip(sums)
+        .fold(0, |acc: Word, (&w, &s)| acc.wrapping_add(w.wrapping_mul(s)))
+}
+
+/// The pointwise column identity's weight side, one output channel at a
+/// time: `cols[i] += w(o,i)`; over a channel set `O` from zero,
+/// `cols[i] = Σ_{o∈O} w(o,i)`.
+fn add_weight_row(weights: &Tensor, o: usize, cols: &mut [Word]) {
+    let row = &weights.as_slice()[weights.index(o, 0, 0)..][..cols.len()];
+    for (col, &w) in cols.iter_mut().zip(row) {
+        *col = col.wrapping_add(w);
+    }
+}
+
+/// The pointwise column identity for the pixels `(y, x..x+len)`:
+/// `expected[j] = Σ_i cols[i] · ifm(i, y, x+j)`.
+fn column_expected(ifm: &Tensor, cols: &[Word], y: usize, x: usize, expected: &mut [Word]) {
+    expected.fill(0);
+    for (i, &col) in cols.iter().enumerate() {
+        let row = &ifm.as_slice()[ifm.index(i, y, x)..][..expected.len()];
+        for (e, &v) in expected.iter_mut().zip(row) {
+            *e = e.wrapping_add(col.wrapping_mul(v));
+        }
+    }
+}
+
+/// Depthwise: per-channel output sums against [`depthwise_expected`].
 fn verify_depthwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    let (k, s) = (layer.k(), layer.s());
-    let pad = layer.pad() as isize;
     let mut by_channel: std::collections::BTreeMap<usize, (Vec<(usize, usize)>, Word)> = std::collections::BTreeMap::new();
     for &(c, y, x, v) in entries {
         let slot = by_channel.entry(c).or_default();
@@ -153,26 +432,8 @@ fn verify_depthwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: 
         slot.1 = slot.1.wrapping_add(v);
     }
     for (c, (positions, actual)) in by_channel {
-        let mut expected: Word = 0;
-        for ky in 0..k {
-            for kx in 0..k {
-                let mut tap_sum: Word = 0;
-                for &(oy, ox) in &positions {
-                    let iy = (oy * s + ky) as isize - pad;
-                    let ix = (ox * s + kx) as isize - pad;
-                    tap_sum = tap_sum.wrapping_add(ifm.get_padded(c, iy, ix));
-                }
-                expected = expected.wrapping_add(weights.get(c, ky, kx).wrapping_mul(tap_sum));
-            }
-        }
-        if expected != actual {
-            return Err(Violation {
-                kind: CheckKind::ChannelSum,
-                lane: c,
-                expected,
-                actual,
-            });
-        }
+        let expected = depthwise_expected(layer, ifm, weights, c, positions.as_slice());
+        check(CheckKind::ChannelSum, c, expected, actual)?;
     }
     Ok(())
 }
@@ -195,30 +456,15 @@ fn verify_pointwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: 
     }
     // Per-input-channel pixel sums, memoized by pixel set (blocks are
     // rectangular, so usually one distinct set).
-    let mut pixel_sums: BTreeMap<Vec<(usize, usize)>, Vec<Word>> = BTreeMap::new();
+    let mut memo: BTreeMap<Vec<(usize, usize)>, Vec<Word>> = BTreeMap::new();
     for (o, (mut pixels, actual)) in by_out {
         pixels.sort_unstable();
-        let sums = pixel_sums.entry(pixels).or_insert_with_key(|pixels| {
-            (0..n_i)
-                .map(|i| {
-                    pixels
-                        .iter()
-                        .fold(0 as Word, |acc, &(y, x)| acc.wrapping_add(ifm.get(i, y, x)))
-                })
-                .collect()
+        let sums = memo.entry(pixels).or_insert_with_key(|pixels| {
+            let mut sums = vec![0; n_i];
+            pixel_sums(ifm, pixels.as_slice(), &mut sums);
+            sums
         });
-        let mut expected: Word = 0;
-        for (i, &sum) in sums.iter().enumerate() {
-            expected = expected.wrapping_add(weights.get(o, 0, i).wrapping_mul(sum));
-        }
-        if expected != actual {
-            return Err(Violation {
-                kind: CheckKind::RowChecksum,
-                lane: o,
-                expected,
-                actual,
-            });
-        }
+        check(CheckKind::RowChecksum, o, row_expected(weights, o, sums), actual)?;
     }
 
     // Column checksums: per pixel over its output-channel set.
@@ -229,26 +475,19 @@ fn verify_pointwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: 
         slot.1 = slot.1.wrapping_add(v);
     }
     // Weight column sums, memoized by output-channel set.
-    let mut col_weights: BTreeMap<Vec<usize>, Vec<Word>> = BTreeMap::new();
+    let mut memo: BTreeMap<Vec<usize>, Vec<Word>> = BTreeMap::new();
     for ((y, x), (mut outs, actual)) in by_pixel {
         outs.sort_unstable();
-        let cols = col_weights.entry(outs).or_insert_with_key(|outs| {
-            (0..n_i)
-                .map(|i| outs.iter().fold(0 as Word, |acc, &o| acc.wrapping_add(weights.get(o, 0, i))))
-                .collect()
+        let cols = memo.entry(outs).or_insert_with_key(|outs| {
+            let mut cols = vec![0; n_i];
+            for &o in outs {
+                add_weight_row(weights, o, &mut cols);
+            }
+            cols
         });
-        let mut expected: Word = 0;
-        for (i, &wsum) in cols.iter().enumerate() {
-            expected = expected.wrapping_add(wsum.wrapping_mul(ifm.get(i, y, x)));
-        }
-        if expected != actual {
-            return Err(Violation {
-                kind: CheckKind::ColumnChecksum,
-                lane: y * layer.out_w() + x,
-                expected,
-                actual,
-            });
-        }
+        let mut expected = [0];
+        column_expected(ifm, cols, y, x, &mut expected);
+        check(CheckKind::ColumnChecksum, y * layer.out_w() + x, expected[0], actual)?;
     }
     Ok(())
 }
@@ -258,15 +497,8 @@ fn verify_pointwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: 
 /// identities do not hold.
 fn verify_elements(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
     for &(c, y, x, v) in entries {
-        let expected = golden_element(layer, ifm, weights, c, y, x);
-        if expected != v {
-            return Err(Violation {
-                kind: CheckKind::Element,
-                lane: (c * layer.out_h() + y) * layer.out_w() + x,
-                expected,
-                actual: v,
-            });
-        }
+        let lane = (c * layer.out_h() + y) * layer.out_w() + x;
+        check(CheckKind::Element, lane, golden_element(layer, ifm, weights, c, y, x), v)?;
     }
     Ok(())
 }
@@ -329,12 +561,6 @@ fn golden_element(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, c: usize, o
 /// shape and contents.
 #[must_use]
 pub fn tensor_checksum(t: &Tensor) -> u64 {
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
     let (c, h, w) = t.shape();
     let mut sum = splitmix64((c as u64) << 42 ^ (h as u64) << 21 ^ w as u64);
     for (i, &v) in t.as_slice().iter().enumerate() {
@@ -346,6 +572,9 @@ pub fn tensor_checksum(t: &Tensor) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::{CompiledLayer, ResolvedMapping};
+    use crate::layer::MappingKind;
+    use npcgra_arch::CgraSpec;
     use npcgra_nn::reference;
 
     /// Turn a golden OFM tensor into the entry list a block would extract.
@@ -456,6 +685,114 @@ mod tests {
             heal_block(&layer, &ifm, &w, &mut entries);
             assert_eq!(entries, entries_of(&golden), "{}", layer.name());
             verify_block(&layer, &ifm, &w, &entries).unwrap();
+        }
+    }
+
+    /// One layer per mapping (activated variants included), small enough
+    /// to flip a word in every block.
+    fn mapped_layers() -> Vec<(ConvLayer, MappingKind, ResolvedMapping)> {
+        vec![
+            (
+                ConvLayer::pointwise("pw", 9, 10, 5, 6),
+                MappingKind::Auto,
+                ResolvedMapping::Pwc,
+            ),
+            (
+                ConvLayer::pointwise("pw.1x1", 24, 9, 1, 1),
+                MappingKind::Auto,
+                ResolvedMapping::Pwc,
+            ),
+            (
+                ConvLayer::depthwise("dw.s1", 3, 11, 9, 3, 1, 1),
+                MappingKind::Auto,
+                ResolvedMapping::DwcS1,
+            ),
+            (
+                ConvLayer::depthwise("dw.s2", 2, 12, 12, 3, 2, 1),
+                MappingKind::Auto,
+                ResolvedMapping::DwcGeneral,
+            ),
+            (
+                ConvLayer::depthwise("dw.k5", 2, 13, 13, 5, 1, 2),
+                MappingKind::Auto,
+                ResolvedMapping::DwcGeneral,
+            ),
+            (
+                ConvLayer::depthwise("dw.mm", 2, 9, 7, 3, 1, 1),
+                MappingKind::MatmulDwc,
+                ResolvedMapping::MatmulDwc,
+            ),
+            (
+                ConvLayer::depthwise("dw.mm.s2", 2, 10, 9, 3, 2, 1),
+                MappingKind::MatmulDwc,
+                ResolvedMapping::MatmulDwc,
+            ),
+            (
+                ConvLayer::depthwise("dw.b", 10, 6, 6, 3, 1, 1),
+                MappingKind::BatchedDwcS1,
+                ResolvedMapping::BatchedDwcS1,
+            ),
+            (
+                ConvLayer::pointwise("pw.relu", 6, 5, 4, 4).with_activation(Activation::Relu),
+                MappingKind::Auto,
+                ResolvedMapping::Pwc,
+            ),
+            (
+                ConvLayer::depthwise("dw.leaky", 2, 8, 8, 3, 1, 1).with_activation(Activation::LeakyRelu { shift: 2 }),
+                MappingKind::Auto,
+                ResolvedMapping::DwcS1,
+            ),
+        ]
+    }
+
+    #[test]
+    fn the_run_verifier_returns_the_entry_verifiers_violation_on_every_mapping() {
+        // For one flipped word per block — and, separately, for two, so the
+        // *order* identities are tried in matters — reading the block's
+        // runs out of the tensor must fail exactly as the entry list does;
+        // clean blocks must pass both; healing must restore golden bits.
+        let spec = CgraSpec::np_cgra(4, 4);
+        let mut scratch = AbftScratch::default();
+        for (layer, kind, mapping) in mapped_layers() {
+            let compiled = CompiledLayer::compile(&layer, &spec, kind).unwrap();
+            assert_eq!(compiled.mapping(), mapping, "{}", layer.name());
+            let ifm = Tensor::random(layer.in_channels(), layer.in_h(), layer.in_w(), 31);
+            let w = layer.random_weights(32);
+            let golden = reference::run_layer(&layer, &ifm, &w).unwrap();
+            let blocks = compiled.surface().blocks().unwrap();
+            for (i, block) in blocks.iter().enumerate() {
+                let entries_of = |ofm: &Tensor| -> Vec<OfmEntry> {
+                    compiled
+                        .geometry(i)
+                        .ofm_slots
+                        .iter()
+                        .map(|s| (s.c, s.y, s.x, ofm.get(s.c, s.y, s.x)))
+                        .collect()
+                };
+                let tag = format!("{} block {i}", layer.name());
+                verify_block(&layer, &ifm, &w, &entries_of(&golden)).unwrap_or_else(|v| panic!("{tag}: {v}"));
+                verify_slots(&layer, &ifm, &w, &golden, &block.slots, &mut scratch).unwrap_or_else(|v| panic!("{tag}: {v}"));
+                let n = block.slots.len();
+                for flips in [vec![(i * 7 + 3) % n], vec![n - 1, (i * 5) % n]] {
+                    let mut ofm = golden.clone();
+                    for (j, &k) in flips.iter().enumerate() {
+                        ofm.as_mut_slice()[block.slots.flat_index(k)] ^= 1 << (3 + 4 * j);
+                    }
+                    if ofm == golden {
+                        continue; // the two flips landed on one word and cancelled
+                    }
+                    let by_entries = verify_block(&layer, &ifm, &w, &entries_of(&ofm)).expect_err(&tag);
+                    let by_runs = verify_slots(&layer, &ifm, &w, &ofm, &block.slots, &mut scratch).expect_err(&tag);
+                    assert_eq!(by_runs, by_entries, "{tag} flips {flips:?}");
+                    // Other blocks' runs do not see the flip.
+                    for (j, other) in blocks.iter().enumerate().filter(|(j, _)| *j != i) {
+                        verify_slots(&layer, &ifm, &w, &ofm, &other.slots, &mut scratch)
+                            .unwrap_or_else(|v| panic!("{tag} leaked into block {j}: {v}"));
+                    }
+                    heal_slots(&layer, &ifm, &w, &mut ofm, &block.slots);
+                    assert_eq!(ofm, golden, "{tag}: healed output is golden");
+                }
+            }
         }
     }
 

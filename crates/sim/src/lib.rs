@@ -30,6 +30,7 @@ pub mod layer;
 pub mod machine;
 pub mod model;
 pub mod report;
+pub mod surface;
 pub mod trace;
 
 pub use cancel::CancelToken;
@@ -45,4 +46,5 @@ pub use layer::{
 pub use machine::{BlockResult, Machine};
 pub use model::{CompiledModel, StagePlan};
 pub use report::LayerReport;
+pub use surface::{BlockSlots, BlockSurface, Run, SurfaceBlock};
 pub use trace::{CycleTrace, Trace};

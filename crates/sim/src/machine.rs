@@ -83,18 +83,12 @@ impl Machine {
     /// Build a machine from its specification.
     #[must_use]
     pub fn new(spec: &CgraSpec) -> Self {
-        let h_words = (spec.hmem_bytes / spec.word_bytes / spec.rows).max(1);
-        let v_total = if spec.vmem_bytes == 0 {
-            spec.hmem_bytes
-        } else {
-            spec.vmem_bytes
-        };
-        let v_words = (v_total / spec.word_bytes / spec.cols).max(1);
+        let dims = FaultDims::for_spec(spec);
         Machine {
             spec: *spec,
             pes: vec![Pe::new(); spec.rows * spec.cols],
-            hmem: BankedMemory::new(spec.rows, h_words, spec.features.crossbar_vbus),
-            vmem: BankedMemory::new(spec.cols, v_words, spec.features.crossbar_vbus),
+            hmem: BankedMemory::new(dims.h_banks, dims.h_words, spec.features.crossbar_vbus),
+            vmem: BankedMemory::new(dims.v_banks, dims.v_words, spec.features.crossbar_vbus),
             grf: GlobalRegFile::new(),
             dma: DmaEngine::new(spec),
             mac: DualModeMac::new(spec.mac_mode()),
@@ -189,17 +183,7 @@ impl Machine {
     fn inject_faults(&mut self, tile: usize, cycle: u64) -> Vec<TemporalFault> {
         let sites = match &self.fault_plan {
             None => return Vec::new(),
-            Some(plan) => {
-                let dims = FaultDims {
-                    rows: self.spec.rows,
-                    cols: self.spec.cols,
-                    h_banks: self.hmem.num_banks(),
-                    h_words: self.hmem.words_per_bank(),
-                    v_banks: self.vmem.num_banks(),
-                    v_words: self.vmem.words_per_bank(),
-                };
-                plan.sites_at(self.runs, tile, cycle, &dims)
-            }
+            Some(plan) => plan.sites_at(self.runs, tile, cycle, &FaultDims::for_spec(&self.spec)),
         };
         let mut temporal = Vec::new();
         for site in sites {
@@ -645,6 +629,37 @@ mod tests {
     use super::*;
     use npcgra_kernels::pwc::PwcLayerMap;
     use npcgra_nn::{reference, ConvLayer, Tensor};
+
+    #[test]
+    fn fault_lattice_is_the_memories_geometry_on_every_spec_shape() {
+        // Tier parity of seeded fault draws rests on this: the lattice the
+        // fast tier derives from the spec alone is the geometry of the
+        // memories the cycle tier actually built.
+        let mut undivided = CgraSpec::np_cgra(4, 4);
+        undivided.vmem_bytes = 0;
+        for spec in [
+            CgraSpec::table4(),
+            CgraSpec::np_cgra(4, 4),
+            undivided,
+            CgraSpec::baseline(4, 4),
+        ] {
+            let m = Machine::new(&spec);
+            let built = FaultDims {
+                rows: spec.rows,
+                cols: spec.cols,
+                h_banks: m.hmem.num_banks(),
+                h_words: m.hmem.words_per_bank(),
+                v_banks: m.vmem.num_banks(),
+                v_words: m.vmem.words_per_bank(),
+            };
+            assert_eq!(FaultDims::for_spec(&spec), built, "{spec:?}");
+        }
+        assert_eq!(
+            FaultDims::for_spec(&undivided).v_words,
+            undivided.hmem_bytes / undivided.word_bytes / undivided.cols,
+            "no V-MEM: the undivided memory viewed column-wise"
+        );
+    }
 
     #[test]
     fn single_pwc_block_matches_golden() {

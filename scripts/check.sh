@@ -53,9 +53,8 @@ for b in table1 table3 table5 table6 fig12 fig_schedules fig_layouts \
   cargo run --release -q -p npcgra-eval --bin "$b" >/dev/null
 done
 
-echo "== npbench smoke run (all seven workloads; exits nonzero on any wrong reply) =="
-cargo run --release --offline --quiet --manifest-path npbench/Cargo.toml -- \
-  --all --seed 1 --seconds 2 --out "$(mktemp -d)" >/dev/null
+echo "== npbench smoke run (all seven workloads; any failed operation fails it) =="
+scripts/npbench_smoke.sh
 
 echo "== npbench's own tests =="
 cargo test --release --offline --manifest-path npbench/Cargo.toml
