@@ -1306,9 +1306,13 @@ fn healthiest_candidate(shared: &Shared, worker: usize, owner: usize) -> bool {
 /// `max_linger`, or the server is draining), the model within the class by
 /// oldest head. Under brownout's adaptive-LIFO rungs the newest requests
 /// are served first and the expired stale tail is shed at formation.
-pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<Duration>) -> Option<Work> {
+///
+/// The flag beside the work says whether the call slept before it found
+/// any: the shard was idle, not working through a backlog.
+pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<Duration>) -> Option<(Work, bool)> {
     let config = &shared.config;
     let mut q = supervisor::lock_queue(shared);
+    let mut slept = false;
     loop {
         let now = Instant::now();
         // 1. Hedge scan: adopt another shard's slow in-flight batch — but
@@ -1327,7 +1331,7 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
                 let pendings = entry.group.take().expect("group presence checked");
                 let model = entry.model;
                 shared.stats.hedges_dispatched.fetch_add(1, Ordering::Relaxed);
-                return Some(Work::Hedge { model, pendings });
+                return Some((Work::Hedge { model, pendings }, slept));
             }
         }
         // 2. Let the brownout controller close out elapsed windows even
@@ -1384,10 +1388,13 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
             // standing-delay signal CoDel keys on) — its youngest member's.
             let youngest = items.iter().map(|p| p.enqueued).max();
             brownout_step(q.controller.as_mut(), now, youngest, |c| apply_level_change(&shared.stats, c));
-            return Some(Work::Batch {
-                model: ModelId(m),
-                pendings: items,
-            });
+            return Some((
+                Work::Batch {
+                    model: ModelId(m),
+                    pendings: items,
+                },
+                slept,
+            ));
         }
         // 4. Nothing ready. Exit when drained for shutdown; otherwise wait
         // for the earliest linger expiry, capped short while a hedge could
@@ -1401,6 +1408,7 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
         if hedge_wake {
             wait = Some(wait.unwrap_or(Duration::MAX).min(Duration::from_millis(1)));
         }
+        slept = true;
         q = match wait {
             Some(timeout) => match shared.ready.wait_timeout(q, timeout.max(Duration::from_micros(50))) {
                 Ok((guard, _)) => guard,

@@ -611,9 +611,11 @@ pub(crate) fn run_worker(shared: &Arc<Shared>, worker: usize) -> WorkerExit {
         } else {
             None
         };
-        match next_work(shared, worker, hedge_threshold) {
-            None => return WorkerExit::Clean,
-            Some(Work::Batch { model, pendings }) => {
+        let Some((work, slept)) = next_work(shared, worker, hedge_threshold) else {
+            return WorkerExit::Clean;
+        };
+        match work {
+            Work::Batch { model, pendings } => {
                 let busy_start = Instant::now();
                 let inflight = hedge_threshold
                     .is_some()
@@ -636,12 +638,25 @@ pub(crate) fn run_worker(shared: &Arc<Shared>, worker: usize) -> WorkerExit {
                     shard.run_cross_check(shared);
                 }
             }
-            Some(Work::Hedge { model, pendings }) => {
+            Work::Hedge { model, pendings } => {
                 let busy_start = Instant::now();
                 let failed = run_hedge(shared, &mut shard, model, pendings);
                 shared.stats.observe_worker_busy(worker, busy_start.elapsed());
                 record_breaker(shared, worker, &mut breaker, failed);
             }
+        }
+        // A lightly loaded shard on the fast tier is microseconds of work
+        // between sleeps, and a sleeper is woken on the core it last ran
+        // on. Sharing that core with a busy thread, it is never seen
+        // waiting when the load balancer looks, so it stays there and the
+        // two are time-sliced at tick granularity (milliseconds of latency
+        // for both). A shard that slept for this work yields once after
+        // it: that leaves it queued behind the other thread, where the
+        // balancer finds it and moves it to an idle core. Alone on its
+        // core the call returns at once; a shard working through a backlog
+        // never slept, and is busy enough to be seen without it.
+        if slept {
+            std::thread::yield_now();
         }
     }
     WorkerExit::Unhealthy
