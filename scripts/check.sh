@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: format, lints, the knob census (scripts/knobs.sh),
 # intra-doc links, tests (incl. the heavy full-size ones), examples,
-# evaluation binaries, the benchmark's smoke run and own tests, the ten
-# soak gates (scripts/soaks.sh) and the paper-table benches.
+# every evaluation rendering, the benchmark's smoke run and own tests and
+# the ten soak gates (scripts/soaks.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,11 +47,8 @@ done
 cargo run --release --example mobilenet >/dev/null
 cargo run --release --example alexnet >/dev/null
 
-echo "== evaluation binaries =="
-for b in table1 table3 table5 table6 fig12 fig_schedules fig_layouts \
-         batching_gain energy_table width_study mapping_gap ccf_check; do
-  cargo run --release -q -p npcgra-eval --bin "$b" >/dev/null
-done
+echo "== evaluation (every paper table, figure, study and ablation) =="
+cargo run --release -q -p npcgra-eval -- --all >/dev/null
 
 echo "== npbench smoke run (all seven workloads; any failed operation fails it) =="
 scripts/npbench_smoke.sh
@@ -60,8 +57,5 @@ echo "== npbench's own tests =="
 cargo test --release --offline --manifest-path npbench/Cargo.toml
 
 scripts/soaks.sh
-
-echo "== benches (quick pass) =="
-cargo bench -p npcgra-bench >/dev/null
 
 echo "ALL CHECKS PASSED"

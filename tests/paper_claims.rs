@@ -22,10 +22,7 @@ fn table5_pwc_speedup_and_adp_gain() {
     assert!(speedup > 10.0, "PWC speedup {speedup} (paper >20x)");
 
     let model = AreaModel::calibrated();
-    let mut np4 = spec;
-    np4.hmem_bytes = 39 * 1024;
-    np4.vmem_bytes = 39 * 1024;
-    let ours_adp = adp(model.total(&np4), ours.ms());
+    let ours_adp = adp(model.total(&spec), ours.ms());
     let ccf_adp = adp(model.total(&npcgra::area::model::baseline_like(4, 4)), ccf.seconds * 1e3);
     let gain = ours_adp.improvement_over(&ccf_adp);
     assert!(gain > 9.0, "PWC ADP gain {gain} (paper ~18x)");
