@@ -183,20 +183,13 @@ pub fn run_gray(flags: &Flags, common: &Common) -> Result<(), String> {
     Ok(())
 }
 
-/// A batch slower than this quantile of recent batches hedges to a second
-/// shard.
-const HEDGE_QUANTILE: f64 = 0.9;
-
 /// Overload soak: calibrate closed-loop capacity, then drive open-loop at
 /// `--overload-factor` times it with every overload control on — priority
-/// WFQ, CoDel admission, hedging, circuit breakers. A hedge winner must be
-/// indistinguishable from a solo run, so every reply is audited.
+/// WFQ, CoDel admission, circuit breakers. Shedding and reordering must not
+/// change a single output bit, so every reply is audited.
 pub fn run_overload(flags: &Flags, common: &Common) -> Result<(), String> {
     let overload = OverloadConfig {
         delay_target: Some(DELAY_TARGET),
-        hedge_quantile: HEDGE_QUANTILE,
-        hedge_floor: Duration::from_micros(200),
-        hedge_min_samples: 16,
         ..OverloadConfig::default()
     };
     let (server, eps) = start_mixed(common.serve_config().with_overload(overload))?;
@@ -230,8 +223,8 @@ pub fn run_overload(flags: &Flags, common: &Common) -> Result<(), String> {
     let shed = stats.overload_sheds.iter().sum::<u64>() + stats.rejected_queue_full + stats.degraded_sheds;
     println!("overload: {}", classes.summary(common.slo));
     println!(
-        "overload: {} brownout escalation(s), {} hedge(s) ({} won, {} lost), {} breaker open(s)",
-        stats.brownout_escalations, stats.hedges_dispatched, stats.hedge_wins, stats.hedge_losses, stats.breaker_opens,
+        "overload: {} brownout escalation(s), {} breaker open(s)",
+        stats.brownout_escalations, stats.breaker_opens,
     );
 
     harness::sound(tally.hung, tally.wrong, &stats.worker_exits)?;

@@ -77,17 +77,15 @@ pub struct ChaosConfig {
     pub cross_check_corrupt: Option<CrossCheckCorruption>,
 }
 
-/// Overload-control knobs: CoDel admission, hedged execution and per-shard
-/// circuit breakers. Each knob maps to one failure mode (see the README's
-/// overload table); the defaults keep the adaptive machinery *off* except
-/// the breaker, so a config that never touches this struct serves exactly
-/// as before.
+/// Overload-control knobs: CoDel admission and per-shard circuit breakers.
+/// Each knob maps to one failure mode (see the README's overload table);
+/// the defaults keep CoDel admission *off* and the breaker on.
 ///
 /// Both lifecycles read the CoDel pair (`delay_target`, `delay_window`):
 /// a [`Server`](crate::Server) samples its admission queue, a
 /// [`Pipeline`](crate::Pipeline) its *stage-queue* residence times. The
-/// hedge and breaker fields are `Server`-only — a pipeline stage has one
-/// shard at a time, so there is nothing to hedge to or route around.
+/// breaker fields are `Server`-only — a pipeline stage has one shard at a
+/// time, so there is nothing to route around.
 /// Priority classes dequeue by the fixed
 /// [`CLASS_WEIGHTS`](crate::overload::CLASS_WEIGHTS) in both.
 #[derive(Debug, Clone, Copy)]
@@ -98,14 +96,6 @@ pub struct OverloadConfig {
     pub delay_target: Option<Duration>,
     /// The CoDel sliding window over which the minimum sojourn is tracked.
     pub delay_window: Duration,
-    /// Hedge when a dispatched batch exceeds this observed execution-latency
-    /// quantile (e.g. `0.95`). `0.0` disables hedging.
-    pub hedge_quantile: f64,
-    /// Floor under the hedge threshold — hedging microsecond batches only
-    /// doubles load.
-    pub hedge_floor: Duration,
-    /// Batch executions observed before the hedge threshold is trusted.
-    pub hedge_min_samples: u64,
     /// Circuit-breaker sliding outcome window per shard; `0` disables the
     /// breaker.
     pub breaker_window: usize,
@@ -122,9 +112,6 @@ impl Default for OverloadConfig {
         OverloadConfig {
             delay_target: None,
             delay_window: Duration::from_millis(10),
-            hedge_quantile: 0.0,
-            hedge_floor: Duration::from_micros(500),
-            hedge_min_samples: 32,
             breaker_window: 16,
             breaker_threshold: 0.5,
             breaker_min_samples: 8,
@@ -484,14 +471,14 @@ mod tests {
     fn overload_defaults_keep_adaptive_machinery_off() {
         let c = ServeConfig::default();
         assert_eq!(c.overload.delay_target, None, "CoDel admission defaults off");
-        assert_eq!(c.overload.hedge_quantile, 0.0, "hedging defaults off");
         assert!(c.overload.breaker_window > 0, "the breaker defaults on");
+        let target = Some(Duration::from_millis(5));
         let c = c.with_overload(OverloadConfig {
-            hedge_quantile: 0.95,
+            delay_target: target,
             ..c.overload
         });
-        assert_eq!(c.overload.hedge_quantile, 0.95);
+        assert_eq!(c.overload.delay_target, target);
         // with_overload replaces the whole struct, so the later call wins.
-        assert_eq!(c.with_overload(OverloadConfig::default()).overload.hedge_quantile, 0.0);
+        assert_eq!(c.with_overload(OverloadConfig::default()).overload.delay_target, None);
     }
 }

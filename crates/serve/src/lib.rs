@@ -36,15 +36,13 @@
 //!   watchdog arming `predicted cycles × calibrated ns-per-cycle ×`
 //!   [`watchdog_slack`](crate::ServeConfig) wall deadlines cancel stuck
 //!   runs cooperatively ([`ServeError::Preempted`], retryable); a
-//!   preempted shard is rebuilt like a panicked one, and a per-shard
-//!   health EWMA steers hedge claims to the healthiest shard.
+//!   preempted shard is rebuilt like a panicked one.
 //! * **Overload control** ([`crate::overload`]) — requests carry a
 //!   [`Priority`] class; weighted-fair dequeue keeps every class moving
 //!   while CoDel-style adaptive admission climbs a staged brownout ladder
 //!   ([`BrownoutLevel`]) under standing queue delay, shedding lowest class
-//!   first ([`ServeError::Overloaded`]); per-shard circuit breakers keep
-//!   batches away from flapping shards; and slow batches hedge to a second
-//!   shard, first bit-exact reply winning.
+//!   first ([`ServeError::Overloaded`]); and per-shard circuit breakers
+//!   keep batches away from flapping shards.
 //! * **Whole-model pipeline serving** ([`crate::pipeline`]) — a
 //!   [`CompiledModel`](npcgra_sim::CompiledModel) partitioned into
 //!   cycle-balanced stages runs as a [`Pipeline`] of stage-level fault

@@ -9,20 +9,18 @@
 //! consistent view for admission and batch formation) and one
 //! [`CircuitBreaker`] inside each worker shard.
 //!
-//! The design follows two classic serving-systems results:
+//! Admission follows **CoDel** (Nichols & Jacobson): track the *minimum* queue
+//! sojourn time over a sliding window. A small minimum means the queue
+//! drains — standing bursts are fine; a minimum persistently above the
+//! delay target means every request is waiting too long, i.e. true
+//! overload, and admitting more work only manufactures deadline misses.
+//! Sustained overload climbs the [`BrownoutLevel`] ladder one rung per
+//! window; recovery descends one rung per quiet window.
 //!
-//! * **CoDel admission** (Nichols & Jacobson): track the *minimum* queue
-//!   sojourn time over a sliding window. A small minimum means the queue
-//!   drains — standing bursts are fine; a minimum persistently above the
-//!   delay target means every request is waiting too long, i.e. true
-//!   overload, and admitting more work only manufactures deadline misses.
-//!   Sustained overload climbs the [`BrownoutLevel`] ladder one rung per
-//!   window; recovery descends one rung per quiet window.
-//! * **Tail-at-scale hedging** (Dean & Barroso): a dispatched batch that
-//!   exceeds an observed-latency quantile is re-dispatched to another
-//!   healthy shard and the first bit-exact result wins. The hedge
-//!   *threshold* policy lives here ([`hedge_threshold`]); the dispatch
-//!   bookkeeping lives in the server (it owns the request handles).
+//! A batch runs on one shard only: a layer's latency is a closed form of
+//! its mapping (the paper's §5), so a served batch has no random straggler
+//! worth racing on a second shard. A slow batch is a gray fault, and the
+//! watchdog and cycle budget preempt it ([`crate::watchdog`]).
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -546,14 +544,6 @@ impl CircuitBreaker {
     }
 }
 
-/// The hedge threshold from an observed execution-latency quantile: never
-/// below `floor` (hedging microsecond batches buys nothing and doubles
-/// load), absent until the latency estimate exists.
-#[must_use]
-pub fn hedge_threshold(observed_quantile: Option<Duration>, floor: Duration) -> Option<Duration> {
-    observed_quantile.map(|q| q.max(floor))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,12 +802,5 @@ mod tests {
         assert_eq!(b.record(start + MS, false), None);
         assert_eq!(b.record(start + MS, true), None);
         assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn hedge_threshold_applies_the_floor() {
-        assert_eq!(hedge_threshold(None, MS), None);
-        assert_eq!(hedge_threshold(Some(5 * MS), MS), Some(5 * MS));
-        assert_eq!(hedge_threshold(Some(Duration::from_micros(10)), MS), Some(MS));
     }
 }

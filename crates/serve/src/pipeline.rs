@@ -419,7 +419,7 @@ impl PipeShared {
 
     /// Reply, count the outcome (late replies included), and release the
     /// job's inflight slot.
-    fn conclude(&self, reply: &ReplySender, result: Result<Response, ServeError>) {
+    fn conclude(&self, reply: ReplySender, result: Result<Response, ServeError>) {
         match &result {
             Ok(_) => self.stats.completed.fetch_add(1, Ordering::Relaxed),
             Err(ServeError::Degraded { .. } | ServeError::DeadlineExceeded) => self.stats.shed.fetch_add(1, Ordering::Relaxed),
@@ -444,7 +444,7 @@ impl PipeShared {
         if st.dead[to] {
             let e = self.degraded(&st.dead);
             drop(st);
-            return self.conclude(&job.reply, Err(e));
+            return self.conclude(job.reply, Err(e));
         }
         job.stage_enqueued = Instant::now();
         match (to, front) {
@@ -843,7 +843,7 @@ impl<'a> StageWorker<'a> {
             let downstream = job.budget.mul_f64(shared.frac_after[s]);
             if Instant::now() + downstream >= final_deadline {
                 shared.stats.deadline_sheds.fetch_add(1, Ordering::Relaxed);
-                shared.conclude(&job.reply, Err(ServeError::DeadlineExceeded));
+                shared.conclude(job.reply, Err(ServeError::DeadlineExceeded));
                 return true;
             }
         }
@@ -975,7 +975,7 @@ impl<'a> StageWorker<'a> {
                 latency: job.enqueued.elapsed(),
                 request_id: job.reply.request_id(),
             };
-            shared.conclude(&job.reply, Ok(response));
+            shared.conclude(job.reply, Ok(response));
             return;
         }
         job.checksum = tensor_checksum(&job.activation);
@@ -992,7 +992,7 @@ impl<'a> StageWorker<'a> {
         let shared = self.shared;
         match class {
             RetryClass::Final => {
-                shared.conclude(&job.reply, Err(e));
+                shared.conclude(job.reply, Err(e));
                 true
             }
             RetryClass::Retry | RetryClass::RebuildAndRetry => {
@@ -1013,7 +1013,7 @@ impl<'a> StageWorker<'a> {
                 if job.attempts > shared.config.max_retries {
                     let attempts = job.attempts;
                     shared.conclude(
-                        &job.reply,
+                        job.reply,
                         Err(ServeError::Quarantined {
                             attempts,
                             cause: Box::new(e),
@@ -1072,9 +1072,9 @@ impl<'a> StageWorker<'a> {
             }
         }
         drop(st);
-        shared.conclude(&job.reply, Err(e.clone()));
+        shared.conclude(job.reply, Err(e.clone()));
         for j in drained {
-            shared.conclude(&j.reply, Err(e.clone()));
+            shared.conclude(j.reply, Err(e.clone()));
         }
         shared.ready.notify_all();
     }

@@ -24,7 +24,7 @@ use npcgra_nn::{ConvLayer, Tensor};
 use std::sync::Arc;
 
 use crate::error::{RetryClass, ServeError};
-use crate::server::{settle, Delivery, ModelId, Pending, Response, Shared};
+use crate::server::{settle, ModelId, Pending, Response, Shared};
 use crate::supervisor::{read_models, requeue_or_fail, Shard};
 
 /// What [`process`] did with its batch — the circuit breaker's sample.
@@ -41,11 +41,9 @@ pub(crate) struct ProcessOutcome {
 
 /// Run one dequeued batch through deadline shedding, supervised execution
 /// and the bisect/retry policy, replying to every request exactly once
-/// (or handing unfinished work back to the queue if the shard dies).
-///
-/// A request whose reply comes back [`Delivery::Duplicate`] was already
-/// answered by a hedge racer: its outcome counters are skipped here so
-/// completed/failed/quarantined stay exactly-once per request.
+/// (or handing unfinished work back to the queue if the shard dies). Each
+/// reply consumes the request's only sender, so completed/failed/
+/// quarantined count each request once.
 pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendings: Vec<Pending>) -> ProcessOutcome {
     let mut outcome = ProcessOutcome::default();
     // Shed requests whose deadline passed while queued — before spending
@@ -54,9 +52,8 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
     let mut live = Vec::with_capacity(pendings.len());
     for p in pendings {
         if p.deadline.is_some_and(|d| d < now) {
-            if settle(shared, p.idem_key, &p.reply, Err(ServeError::DeadlineExceeded)) != Delivery::Duplicate {
-                shared.stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-            }
+            settle(shared, p.idem_key, p.reply, Err(ServeError::DeadlineExceeded));
+            shared.stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
         } else {
             live.push(p);
         }
@@ -109,22 +106,20 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
                 let done = Instant::now();
                 for (p, output) in group.into_iter().zip(outputs) {
                     let latency = done.duration_since(p.enqueued);
-                    let delivery = settle(
+                    let request_id = p.reply.request_id();
+                    settle(
                         shared,
                         p.idem_key,
-                        &p.reply,
+                        p.reply,
                         Ok(Response {
                             output,
                             report: report.clone(),
                             batch_size,
                             worker: shard.worker,
                             latency,
-                            request_id: p.reply.request_id(),
+                            request_id,
                         }),
                     );
-                    if delivery == Delivery::Duplicate {
-                        continue;
-                    }
                     shared.stats.completed.fetch_add(1, Ordering::Release);
                     if p.integrity_hit {
                         // An earlier attempt failed its output checksum;
@@ -149,9 +144,8 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
                 }
                 if RetryClass::of(&e) == RetryClass::Final {
                     for p in group {
-                        if settle(shared, p.idem_key, &p.reply, Err(e.clone())) != Delivery::Duplicate {
-                            shared.stats.failed.fetch_add(1, Ordering::Release);
-                        }
+                        settle(shared, p.idem_key, p.reply, Err(e.clone()));
+                        shared.stats.failed.fetch_add(1, Ordering::Release);
                     }
                 } else if group.len() > 1 {
                     // Bisect: the failure could be one poison member.
@@ -162,19 +156,17 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
                     work.push_front((group, generation + 1));
                 } else if group[0].attempts > shared.config.max_retries {
                     let p = group.pop().expect("solo group");
-                    let delivery = settle(
+                    settle(
                         shared,
                         p.idem_key,
-                        &p.reply,
+                        p.reply,
                         Err(ServeError::Quarantined {
                             attempts: p.attempts,
                             cause: Box::new(e),
                         }),
                     );
-                    if delivery != Delivery::Duplicate {
-                        shared.stats.quarantined.fetch_add(1, Ordering::Release);
-                        shared.stats.failed.fetch_add(1, Ordering::Release);
-                    }
+                    shared.stats.quarantined.fetch_add(1, Ordering::Release);
+                    shared.stats.failed.fetch_add(1, Ordering::Release);
                 } else {
                     work.push_front((group, generation + 1));
                 }

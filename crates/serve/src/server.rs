@@ -17,7 +17,7 @@
 //! poison requests so their batch-mates still complete.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,10 +88,6 @@ pub struct Response {
 struct ReplySlot {
     state: Mutex<SlotState>,
     ready: Condvar,
-    /// Live [`ReplySender`] clones. Hedged execution holds one sender per
-    /// racer; the slot is `Lost` only when the *last* sender drops without
-    /// a reply — a hedge loser's drop must not strand the ticket.
-    senders: AtomicUsize,
     /// The request id minted when this slot was created at submit.
     request_id: u64,
 }
@@ -116,23 +112,20 @@ enum SlotState {
     Lost,
 }
 
-/// How one attempted reply landed, from [`ReplySender::send`].
+/// How one reply landed, from [`ReplySender::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Delivery {
-    /// The reply landed in a waiting slot: this sender won.
+    /// The reply landed in the waiting slot.
     Delivered,
-    /// The ticket was abandoned (or its senders all died) before any reply
-    /// arrived; the reply is dropped and counted late.
+    /// The ticket was abandoned before the reply arrived; the reply is
+    /// dropped and counted late.
     Abandoned,
-    /// Another sender already replied — this is a hedge race's losing
-    /// reply, dropped without touching the outcome counters.
-    Duplicate,
 }
 
 /// The send side of one request's reply slot, held by `Pending` as the
-/// request moves through queues, batches and retries. Cloning produces a
-/// second racer for the same slot (hedged execution); the first
-/// [`send`](ReplySender::send) wins.
+/// request moves through queues, batches and retries. It is the slot's
+/// only sender, and [`send`](ReplySender::send) consumes it, so a request
+/// is answered at most once by construction.
 #[derive(Debug)]
 pub(crate) struct ReplySender {
     slot: Arc<ReplySlot>,
@@ -144,36 +137,21 @@ impl ReplySender {
         self.slot.request_id
     }
 
-    /// Deliver the reply, reporting how it landed.
-    pub(crate) fn send(&self, result: Result<Response, ServeError>) -> Delivery {
+    /// Deliver the reply, reporting how it landed. Only the ticket can
+    /// have moved the slot out of `Waiting` (by tombstoning it).
+    pub(crate) fn send(self, result: Result<Response, ServeError>) -> Delivery {
         let mut s = self.slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match *s {
-            SlotState::Waiting => {
-                *s = SlotState::Ready(Box::new(result));
-                self.slot.ready.notify_all();
-                Delivery::Delivered
-            }
-            SlotState::Tombstoned | SlotState::Lost => Delivery::Abandoned,
-            SlotState::Ready(_) | SlotState::Taken => Delivery::Duplicate,
+        if !matches!(*s, SlotState::Waiting) {
+            return Delivery::Abandoned;
         }
-    }
-}
-
-impl Clone for ReplySender {
-    fn clone(&self) -> Self {
-        self.slot.senders.fetch_add(1, Ordering::Relaxed);
-        ReplySender {
-            slot: Arc::clone(&self.slot),
-        }
+        *s = SlotState::Ready(Box::new(result));
+        self.slot.ready.notify_all();
+        Delivery::Delivered
     }
 }
 
 impl Drop for ReplySender {
     fn drop(&mut self) {
-        if self.slot.senders.fetch_sub(1, Ordering::AcqRel) != 1 {
-            // Another racer (hedge) still holds the slot; it will reply.
-            return;
-        }
         let mut s = self.slot.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(*s, SlotState::Waiting) {
             *s = SlotState::Lost;
@@ -187,22 +165,17 @@ pub(crate) fn reply_pair() -> (ReplySender, Ticket) {
     let slot = Arc::new(ReplySlot {
         state: Mutex::new(SlotState::Waiting),
         ready: Condvar::new(),
-        senders: AtomicUsize::new(1),
         request_id: NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed),
     });
     (ReplySender { slot: Arc::clone(&slot) }, Ticket { slot })
 }
 
 /// Deliver a reply, counting it under `late_replies` when the ticket was
-/// already abandoned. Every worker-side reply goes through here; callers
-/// that count outcomes (completed, failed, quarantined) must skip the
-/// count on [`Delivery::Duplicate`] — the hedge winner already counted it.
-pub(crate) fn send_reply(stats: &Stats, reply: &ReplySender, result: Result<Response, ServeError>) -> Delivery {
-    let delivery = reply.send(result);
-    if delivery == Delivery::Abandoned {
+/// already abandoned. Every worker-side reply goes through here.
+fn send_reply(stats: &Stats, reply: ReplySender, result: Result<Response, ServeError>) {
+    if reply.send(result) == Delivery::Abandoned {
         stats.late_replies.fetch_add(1, Ordering::Relaxed);
     }
-    delivery
 }
 
 /// The receive side of one request; redeemed with [`Ticket::wait`] or
@@ -320,55 +293,6 @@ pub(crate) struct Pending {
     pub(crate) idem_key: u64,
 }
 
-impl Pending {
-    /// A second racer for hedged execution: same reply slot (the clone
-    /// bumps the sender count, so the loser's drop cannot strand the
-    /// ticket), same deadline and provenance, fresh copy of the input.
-    fn clone_for_hedge(&self) -> Pending {
-        Pending {
-            input: self.input.clone(),
-            enqueued: self.enqueued,
-            deadline: self.deadline,
-            reply: self.reply.clone(),
-            attempts: self.attempts,
-            integrity_hit: self.integrity_hit,
-            class: self.class,
-            idem_key: self.idem_key,
-        }
-    }
-}
-
-/// A batch currently executing on some shard, published so an idle shard
-/// can hedge it once it exceeds the observed-latency hedge threshold.
-pub(crate) struct InflightEntry {
-    id: u64,
-    model: ModelId,
-    /// The worker executing the primary; a shard never hedges itself.
-    owner: usize,
-    started: Instant,
-    /// The cloned request group; `take`n by at most one hedging shard.
-    group: Option<Vec<Pending>>,
-}
-
-/// What [`next_work`] hands a worker shard.
-pub(crate) enum Work {
-    /// A fresh batch pulled off the queue (all one model, one class).
-    Batch {
-        /// The batch's model.
-        model: ModelId,
-        /// The requests, dequeue order.
-        pendings: Vec<Pending>,
-    },
-    /// A hedge: re-execution of another shard's slow in-flight batch;
-    /// first bit-exact reply per request wins.
-    Hedge {
-        /// The hedged batch's model.
-        model: ModelId,
-        /// Cloned requests racing the primary.
-        pendings: Vec<Pending>,
-    },
-}
-
 pub(crate) struct QueueState {
     /// One FIFO per (registered model, priority class), indexed by
     /// [`ModelId`] then [`Priority::index`].
@@ -388,10 +312,6 @@ pub(crate) struct QueueState {
     pub(crate) controller: Option<OverloadController>,
     /// Weighted-fair scheduler arbitrating classes at batch formation.
     pub(crate) wfq: WfqScheduler,
-    /// Hedging board: batches currently executing on shards.
-    pub(crate) inflight: Vec<InflightEntry>,
-    /// Monotonic id source for [`InflightEntry`].
-    next_inflight_id: u64,
 }
 
 impl QueueState {
@@ -509,8 +429,8 @@ impl JournalState {
 
     /// Record a terminal outcome: append the Ack record, remember a
     /// success for redelivery, release the key's reservation and fan the
-    /// outcome out to any deduplicated waiters. Called for every delivery
-    /// except a hedge race's losing reply (the winner already settled).
+    /// outcome out to any deduplicated waiters. Called once per admitted
+    /// keyed request, after its reply.
     fn acknowledge(&self, stats: &Stats, idem_key: u64, request_id: u64, result: &Result<Response, ServeError>) {
         let mut jr = self.lock();
         let outcome = result.as_ref().ok().map(|resp| {
@@ -632,22 +552,20 @@ pub(crate) fn flush_journal_shared(shared: &Shared) {
     }
 }
 
-/// Deliver a terminal outcome through [`send_reply`], acknowledging the
-/// admission journal first unless the delivery turns out to be a hedge
-/// race's losing reply. Every worker-side terminal site goes through here;
-/// with the journal disabled it is exactly [`send_reply`].
-pub(crate) fn settle(shared: &Shared, idem_key: u64, reply: &ReplySender, result: Result<Response, ServeError>) -> Delivery {
-    match &shared.journal {
-        None => send_reply(&shared.stats, reply, result),
-        Some(j) => {
-            let for_ack = result.clone();
-            let delivery = send_reply(&shared.stats, reply, result);
-            if delivery != Delivery::Duplicate {
-                j.acknowledge(&shared.stats, idem_key, reply.request_id(), &for_ack);
-            }
-            delivery
-        }
-    }
+/// Deliver a terminal outcome through [`send_reply`], then acknowledge it
+/// in the admission journal. The reply goes first so it never waits on the
+/// journal append (nor its periodic inline fsync); until the Ack lands, a
+/// retry of the key parks on the reservation and shares this outcome.
+/// Every worker-side terminal site goes through here; with the journal
+/// disabled it is exactly [`send_reply`].
+pub(crate) fn settle(shared: &Shared, idem_key: u64, reply: ReplySender, result: Result<Response, ServeError>) {
+    let Some(j) = &shared.journal else {
+        return send_reply(&shared.stats, reply, result);
+    };
+    let request_id = reply.request_id();
+    let for_ack = result.clone();
+    send_reply(&shared.stats, reply, result);
+    j.acknowledge(&shared.stats, idem_key, request_id, &for_ack);
 }
 
 pub(crate) struct Shared {
@@ -730,8 +648,6 @@ impl Server {
                     .delay_target
                     .map(|target| OverloadController::new(target, config.overload.delay_window, Instant::now())),
                 wfq: WfqScheduler::new(CLASS_WEIGHTS),
-                inflight: Vec::new(),
-                next_inflight_id: 0,
             }),
             ready: Condvar::new(),
             cache: ProgramCache::with_capacity(PROGRAM_CACHE_CAPACITY),
@@ -748,13 +664,9 @@ impl Server {
                     .expect("spawn worker shard")
             })
             .collect();
-        // A fired slot is a preempted shard: charge its health EWMA so
-        // hedge claims steer away from it.
-        let fired = Arc::clone(&shared);
-        let slack = config.watchdog_slack;
-        shared.watchdog.spawn("npcgra-serve-watchdog", slack, move |worker| {
-            fired.stats.observe_health_sample(worker, 0.0);
-        });
+        // A fired slot needs no bookkeeping here: the cancelled run
+        // surfaces as a preemption on its own shard, which counts it.
+        shared.watchdog.spawn("npcgra-serve-watchdog", config.watchdog_slack, |_| {});
         Server { shared, workers }
     }
 
@@ -993,7 +905,7 @@ impl Server {
                     settle(
                         shared,
                         victim.idem_key,
-                        &victim.reply,
+                        victim.reply,
                         Err(ServeError::Overloaded {
                             level,
                             class: victim.class,
@@ -1175,7 +1087,6 @@ impl Server {
             // so stray tickets observe `WorkerLost`, exactly as a real
             // kill would look from outside the process.
             drop(q.drain_all());
-            q.inflight.clear();
         }
         self.shared.ready.notify_all();
         for handle in self.workers {
@@ -1209,11 +1120,8 @@ impl Server {
         let mut q = supervisor::lock_queue(&self.shared);
         for p in q.drain_all() {
             self.shared.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            settle(&self.shared, p.idem_key, &p.reply, Err(ServeError::ShuttingDown));
+            settle(&self.shared, p.idem_key, p.reply, Err(ServeError::ShuttingDown));
         }
-        // Workers are joined; dropping any un-taken hedge clones releases
-        // their extra senders (the primaries already replied or were shed).
-        q.inflight.clear();
         let depth = q.total;
         drop(q);
         // Every queued request has now reached a terminal outcome and been
@@ -1251,91 +1159,27 @@ fn apply_level_change(stats: &Stats, change: LevelChange) {
     stats.set_brownout_level(level);
 }
 
-/// Publish a batch on the hedging board before its primary executes, so an
-/// idle shard can race it if it runs long. Returns the entry's id for
-/// [`remove_inflight`]. Wakes waiting shards: a hedge-eligible entry is a
-/// new reason to stop sleeping.
-pub(crate) fn register_inflight(shared: &Shared, worker: usize, model: ModelId, pendings: &[Pending]) -> u64 {
-    let group: Vec<Pending> = pendings.iter().map(Pending::clone_for_hedge).collect();
-    let mut q = supervisor::lock_queue(shared);
-    let id = q.next_inflight_id;
-    q.next_inflight_id += 1;
-    q.inflight.push(InflightEntry {
-        id,
-        model,
-        owner: worker,
-        started: Instant::now(),
-        group: Some(group),
-    });
-    drop(q);
-    shared.ready.notify_all();
-    id
-}
-
-/// Retire a hedging-board entry once its primary finished. An un-taken
-/// clone group is simply dropped (the sender count keeps the tickets
-/// live); a taken one is already racing and owns its own replies.
-pub(crate) fn remove_inflight(shared: &Shared, id: u64) {
-    let mut q = supervisor::lock_queue(shared);
-    if let Some(i) = q.inflight.iter().position(|e| e.id == id) {
-        q.inflight.swap_remove(i);
-    }
-}
-
-/// Whether `worker` is the healthiest candidate (by effective health — the
-/// liveness EWMA, zeroed for dead shards and open breakers) to hedge a
-/// batch owned by `owner`. Ties go to whichever shard scans first: with
-/// every score at its initial 1.0 (healthy), any candidate qualifies, so
-/// configs that never diverge health behave exactly as before this check
-/// existed.
-fn healthiest_candidate(shared: &Shared, worker: usize, owner: usize) -> bool {
-    let mine = shared.stats.effective_health(worker);
-    (0..shared.config.workers)
-        .filter(|&w| w != owner && w != worker)
-        .all(|w| shared.stats.effective_health(w) <= mine + 1e-9)
-}
-
-/// Pull the next unit of work off the shared queue, blocking until one is
-/// ready or the server drains empty during shutdown (→ `None`, worker
-/// exits).
+/// Pull the next batch (all one model, one class, in dequeue order) off
+/// the shared queue, blocking until one is ready or the server drains
+/// empty during shutdown (→ `None`, worker exits).
 ///
-/// In order of preference: a hedge (another shard's in-flight batch past
-/// `hedge_threshold`), then a fresh batch — the class picked by the
-/// weighted-fair scheduler among *ready* classes (a class is ready when
-/// some model queue holds a brownout-capped batch, its head has lingered
-/// `max_linger`, or the server is draining), the model within the class by
-/// oldest head. Under brownout's adaptive-LIFO rungs the newest requests
-/// are served first and the expired stale tail is shed at formation.
+/// The class is picked by the weighted-fair scheduler among *ready*
+/// classes (a class is ready when some model queue holds a brownout-capped
+/// batch, its head has lingered `max_linger`, or the server is draining),
+/// the model within the class by oldest head. Under brownout's
+/// adaptive-LIFO rungs the newest requests are served first and the
+/// expired stale tail is shed at formation.
 ///
-/// The flag beside the work says whether the call slept before it found
-/// any: the shard was idle, not working through a backlog.
-pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<Duration>) -> Option<(Work, bool)> {
+/// The flag beside the batch says whether the call slept before it found
+/// one: the shard was idle, not working through a backlog.
+pub(crate) fn next_work(shared: &Shared) -> Option<(ModelId, Vec<Pending>, bool)> {
     let config = &shared.config;
     let mut q = supervisor::lock_queue(shared);
     let mut slept = false;
     loop {
         let now = Instant::now();
-        // 1. Hedge scan: adopt another shard's slow in-flight batch — but
-        // only if this shard is the healthiest candidate (by liveness EWMA),
-        // so hedges route away from gray-degraded shards. A ripe entry that
-        // has waited past 2× the threshold waives the health check: a better
-        // shard that is busy must not strand the hedge forever.
-        if let Some(threshold) = hedge_threshold {
-            if let Some(entry) = q.inflight.iter_mut().find(|e| {
-                let waited = now.duration_since(e.started);
-                e.owner != worker
-                    && e.group.is_some()
-                    && waited >= threshold
-                    && (healthiest_candidate(shared, worker, e.owner) || waited >= threshold * 2)
-            }) {
-                let pendings = entry.group.take().expect("group presence checked");
-                let model = entry.model;
-                shared.stats.hedges_dispatched.fetch_add(1, Ordering::Relaxed);
-                return Some((Work::Hedge { model, pendings }, slept));
-            }
-        }
-        // 2. Let the brownout controller close out elapsed windows even
-        // when no submissions are arriving to drive it.
+        // Let the brownout controller close out elapsed windows even when
+        // no submissions are arriving to drive it.
         let level = brownout_step(q.controller.as_mut(), now, None, |c| apply_level_change(&shared.stats, c));
         let cap = level.batch_cap(config.max_batch);
         let lifo = level.lifo();
@@ -1343,7 +1187,7 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
             dq.front()
                 .is_some_and(|head| dq.len() >= cap || now.duration_since(head.enqueued) >= config.max_linger || !q.open)
         };
-        // 3. Ready classes → weighted-fair pick → oldest-head model.
+        // Ready classes → weighted-fair pick → oldest-head model.
         let mut ready = [false; CLASSES];
         for per_model in &q.queues {
             for (c, dq) in per_model.iter().enumerate() {
@@ -1369,7 +1213,7 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
                     let p = q.queues[m][c].pop_front().expect("front checked");
                     q.debit(c, 1);
                     shared.stats.rejected_deadline.fetch_add(1, Ordering::Relaxed);
-                    settle(shared, p.idem_key, &p.reply, Err(ServeError::DeadlineExceeded));
+                    settle(shared, p.idem_key, p.reply, Err(ServeError::DeadlineExceeded));
                 }
                 if q.queues[m][c].is_empty() {
                     continue;
@@ -1388,26 +1232,15 @@ pub(crate) fn next_work(shared: &Shared, worker: usize, hedge_threshold: Option<
             // standing-delay signal CoDel keys on) — its youngest member's.
             let youngest = items.iter().map(|p| p.enqueued).max();
             brownout_step(q.controller.as_mut(), now, youngest, |c| apply_level_change(&shared.stats, c));
-            return Some((
-                Work::Batch {
-                    model: ModelId(m),
-                    pendings: items,
-                },
-                slept,
-            ));
+            return Some((ModelId(m), items, slept));
         }
-        // 4. Nothing ready. Exit when drained for shutdown; otherwise wait
-        // for the earliest linger expiry, capped short while a hedge could
-        // ripen on the board.
+        // Nothing ready. Exit when drained for shutdown; otherwise wait for
+        // the earliest linger expiry.
         let oldest = q.oldest_enqueued();
         if !q.open && oldest.is_none() {
             return None;
         }
-        let hedge_wake = hedge_threshold.is_some() && !q.inflight.is_empty();
-        let mut wait = oldest.map(|t| config.max_linger.saturating_sub(now.duration_since(t)));
-        if hedge_wake {
-            wait = Some(wait.unwrap_or(Duration::MAX).min(Duration::from_millis(1)));
-        }
+        let wait = oldest.map(|t| config.max_linger.saturating_sub(now.duration_since(t)));
         slept = true;
         q = match wait {
             Some(timeout) => match shared.ready.wait_timeout(q, timeout.max(Duration::from_micros(50))) {
@@ -1505,28 +1338,6 @@ mod tests {
             Delivery::Abandoned,
             "a reply to an abandoned ticket must be dropped"
         );
-    }
-
-    #[test]
-    fn hedge_race_first_reply_wins_loser_is_duplicate() {
-        let (tx, ticket) = reply_pair();
-        let hedge_tx = tx.clone();
-        assert_eq!(hedge_tx.send(Err(ServeError::WorkerLost)), Delivery::Delivered);
-        assert_eq!(tx.send(Err(ServeError::UnknownModel)), Delivery::Duplicate);
-        assert_eq!(ticket.wait().unwrap_err(), ServeError::WorkerLost, "first reply won");
-    }
-
-    #[test]
-    fn hedge_clone_drop_does_not_strand_the_ticket() {
-        let (tx, ticket) = reply_pair();
-        let hedge_tx = tx.clone();
-        drop(hedge_tx);
-        assert_eq!(
-            tx.send(Err(ServeError::UnknownModel)),
-            Delivery::Delivered,
-            "surviving sender still owns the slot"
-        );
-        assert_eq!(ticket.wait().unwrap_err(), ServeError::UnknownModel);
     }
 
     #[test]

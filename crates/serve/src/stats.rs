@@ -42,16 +42,12 @@ impl std::fmt::Display for WorkerExit {
 /// `[2^i, 2^(i+1))` nanoseconds. 2^48 ns ≈ 78 hours, far beyond any request.
 const LATENCY_BUCKETS: usize = 48;
 
-/// Fixed-point scale for the per-shard health EWMA (six decimal digits).
-const HEALTH_SCALE: f64 = 1e6;
-
 /// Healthy run timings required before an [`NsPerCycle`] estimate (and
 /// therefore the watchdog's wall deadline) is trusted.
 const CALIBRATION_MIN_SAMPLES: u64 = 4;
 
-/// Smoothing factor of the [`NsPerCycle`] calibration EWMAs and of the
-/// per-shard health EWMA that steers hedge-target selection toward the
-/// healthiest shard.
+/// Smoothing factor of the [`NsPerCycle`] calibration EWMAs: each healthy
+/// run moves the estimate a fifth of the way toward its own ns-per-cycle.
 const EWMA_ALPHA: f64 = 0.2;
 
 /// Observed wall nanoseconds per predicted compute cycle — the watchdog's
@@ -201,19 +197,9 @@ pub(crate) struct Stats {
     pub breaker_closes: AtomicU64,
     /// Probe batches dispatched by half-open breakers.
     pub breaker_probes: AtomicU64,
-    /// Hedge batches dispatched to a second shard.
-    pub hedges_dispatched: AtomicU64,
-    /// Hedge batches that delivered at least one winning (first) reply.
-    pub hedge_wins: AtomicU64,
-    /// Hedge batches whose every reply lost the race (or that failed).
-    pub hedge_losses: AtomicU64,
     /// Batches preempted by the liveness layer — the watchdog cancelling a
     /// stuck run's token, or a run blowing its cycle budget.
     pub watchdog_preemptions: AtomicU64,
-    /// Per-shard health EWMA in `[0, 1]` (scaled by [`HEALTH_SCALE`]):
-    /// 1.0 = every batch lands within its predicted time; preemptions and
-    /// gross slowdowns pull it toward 0.
-    health_score: Vec<AtomicU64>,
     /// One calibration per backend tier (indexed by
     /// [`BackendTier::index`]): the fast tier runs orders of magnitude more
     /// cycles per wall second, so sharing one estimate across a tier switch
@@ -251,9 +237,6 @@ pub(crate) struct Stats {
     /// exactly-once invariant failing. The crash soak gates on zero.
     pub duplicate_executions: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
-    /// Batch *execution* times (dequeue to reply), feeding the hedge
-    /// threshold quantile — distinct from `latency`, which includes queueing.
-    exec_latency: [AtomicU64; LATENCY_BUCKETS],
     /// `batch_hist[i]` counts batches of size `i`; index 0 is unused.
     batch_hist: Vec<AtomicU64>,
     worker_busy_ns: Vec<AtomicU64>,
@@ -291,11 +274,7 @@ impl Stats {
             breaker_opens: AtomicU64::new(0),
             breaker_closes: AtomicU64::new(0),
             breaker_probes: AtomicU64::new(0),
-            hedges_dispatched: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
-            hedge_losses: AtomicU64::new(0),
             watchdog_preemptions: AtomicU64::new(0),
-            health_score: (0..workers).map(|_| AtomicU64::new(HEALTH_SCALE as u64)).collect(),
             ns_per_cycle: Default::default(),
             cycles_charged: std::array::from_fn(|_| AtomicU64::new(0)),
             cross_checks: AtomicU64::new(0),
@@ -310,7 +289,6 @@ impl Stats {
             dedup_hits: AtomicU64::new(0),
             duplicate_executions: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicU64::new(0)),
-            exec_latency: std::array::from_fn(|_| AtomicU64::new(0)),
             batch_hist: (0..=max_batch).map(|_| AtomicU64::new(0)).collect(),
             worker_busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             tenants: RwLock::new(Vec::new()),
@@ -360,34 +338,6 @@ impl Stats {
         self.latency[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn observe_exec_latency(&self, latency: Duration) {
-        let ns = latency.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.exec_latency[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Batch execution time at quantile `q`, once at least `min_samples`
-    /// executions were observed — the hedge threshold's input. `None` until
-    /// the estimate is trustworthy (hedging on noise doubles load for
-    /// nothing).
-    pub(crate) fn exec_latency_quantile(&self, q: f64, min_samples: u64) -> Option<Duration> {
-        let counts: Vec<u64> = self.exec_latency.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total < min_samples.max(1) {
-            return None;
-        }
-        let target = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let ns = 2f64.powi(i as i32) * std::f64::consts::SQRT_2;
-                return Some(Duration::from_nanos(ns as u64));
-            }
-        }
-        None
-    }
-
     pub(crate) fn set_brownout_level(&self, level: BrownoutLevel) {
         let step = BrownoutLevel::ALL.iter().position(|&l| l == level).unwrap_or(0);
         self.brownout_gauge.store(step as u64, Ordering::Relaxed);
@@ -418,31 +368,6 @@ impl Stats {
     /// Account the cycles a successful run charged against its tier.
     pub(crate) fn observe_cycles_charged(&self, tier: BackendTier, cycles: u64) {
         self.cycles_charged[tier.index()].fetch_add(cycles, Ordering::Relaxed);
-    }
-
-    /// Fold one health observation (`[0, 1]`: 1.0 = on-time batch, 0.0 =
-    /// preemption/canary strike) into a shard's EWMA.
-    pub(crate) fn observe_health_sample(&self, worker: usize, obs: f64) {
-        let obs = obs.clamp(0.0, 1.0);
-        let cell = &self.health_score[worker];
-        let old = cell.load(Ordering::Relaxed) as f64 / HEALTH_SCALE;
-        let new = old + EWMA_ALPHA * (obs - old);
-        cell.store((new * HEALTH_SCALE) as u64, Ordering::Relaxed);
-    }
-
-    /// A shard's raw health EWMA in `[0, 1]`.
-    pub(crate) fn health_score(&self, worker: usize) -> f64 {
-        self.health_score[worker].load(Ordering::Relaxed) as f64 / HEALTH_SCALE
-    }
-
-    /// A shard's health as seen by hedge routing: the EWMA, zeroed while
-    /// the shard is dead or its circuit breaker is open (routing a hedge
-    /// at either is wasted work by construction).
-    pub(crate) fn effective_health(&self, worker: usize) -> f64 {
-        if self.shard_dead[worker].load(Ordering::Relaxed) || self.breaker_state[worker].load(Ordering::Relaxed) == 1 {
-            return 0.0;
-        }
-        self.health_score(worker)
     }
 
     /// Latency at quantile `q` (0..1): geometric midpoint of the bucket the
@@ -476,9 +401,6 @@ impl Stats {
         let completed = self.completed.load(Ordering::Acquire);
         let failed = self.failed.load(Ordering::Acquire);
         let quarantined = self.quarantined.load(Ordering::Acquire);
-        let hedge_wins = self.hedge_wins.load(Ordering::Acquire);
-        let hedge_losses = self.hedge_losses.load(Ordering::Acquire);
-        let hedges_dispatched = self.hedges_dispatched.load(Ordering::Relaxed);
         let admitted_by_class = std::array::from_fn(|c| self.admitted_by_class[c].load(Ordering::Acquire));
         // Tenant counters are sinks too (written Release by the front-end
         // after its admission decision), so they join the Acquire phase.
@@ -489,9 +411,6 @@ impl Stats {
             completed,
             failed,
             quarantined,
-            hedges_dispatched,
-            hedge_wins,
-            hedge_losses,
             admitted_by_class,
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
@@ -532,7 +451,6 @@ impl Stats {
             journal_errors: self.journal_errors.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             duplicate_executions: self.duplicate_executions.load(Ordering::Relaxed),
-            shard_health_score: (0..self.health_score.len()).map(|w| self.health_score(w)).collect(),
             ns_per_cycle: std::array::from_fn(|t| self.ns_per_cycle[t].get().unwrap_or(0.0)),
             cycles_charged: std::array::from_fn(|t| self.cycles_charged[t].load(Ordering::Relaxed)),
             cross_checks: self.cross_checks.load(Ordering::Relaxed),
@@ -634,12 +552,6 @@ pub struct StatsSnapshot {
     pub breaker_probes: u64,
     /// Each shard's breaker state at snapshot time.
     pub breaker_states: Vec<BreakerState>,
-    /// Hedge batches dispatched to a second shard.
-    pub hedges_dispatched: u64,
-    /// Hedge batches that delivered at least one winning (first) reply.
-    pub hedge_wins: u64,
-    /// Hedge batches whose every reply lost the race (or that failed).
-    pub hedge_losses: u64,
     /// Batches preempted by the liveness layer (the watchdog cancelling a
     /// stuck run, or a run exceeding its cycle budget).
     pub watchdog_preemptions: u64,
@@ -661,9 +573,6 @@ pub struct StatsSnapshot {
     /// Times two executions completed the same idempotency key — the
     /// exactly-once invariant failing. The crash soak gates on zero.
     pub duplicate_executions: u64,
-    /// Each shard's health EWMA in `[0, 1]` (1.0 = every batch on time;
-    /// preemptions and gross slowdowns pull it down).
-    pub shard_health_score: Vec<f64>,
     /// Calibrated wall nanoseconds per predicted compute cycle, one slot
     /// per backend tier (indexed by [`BackendTier::index`]); `0.0` until
     /// enough batches were timed on that tier.
@@ -751,13 +660,6 @@ impl StatsSnapshot {
             debug_assert!(
                 self.admitted_by_class.iter().sum::<u64>() <= self.submitted,
                 "per-class admissions exceed submitted"
-            );
-            debug_assert!(
-                self.hedge_wins + self.hedge_losses <= self.hedges_dispatched,
-                "hedge outcomes ({} + {}) exceed dispatches ({})",
-                self.hedge_wins,
-                self.hedge_losses,
-                self.hedges_dispatched
             );
         }
     }
@@ -862,11 +764,6 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "hedges:   {} dispatched, {} wins, {} losses",
-            self.hedges_dispatched, self.hedge_wins, self.hedge_losses
-        )?;
-        writeln!(
-            f,
             "abft:     {} blocks checked, {} failures detected, {} requests recovered; \
              {} canary runs ({} failed); {} late replies",
             self.integrity_checked,
@@ -876,22 +773,11 @@ impl std::fmt::Display for StatsSnapshot {
             self.canary_failed,
             self.late_replies
         )?;
-        let scores: Vec<String> = self
-            .shard_health_score
-            .iter()
-            .enumerate()
-            .map(|(i, h)| format!("w{i}:{h:.2}"))
-            .collect();
         writeln!(
             f,
-            "health:   {}/{} shards healthy; scores {}",
+            "health:   {}/{} shards healthy",
             self.healthy_workers(),
-            self.shard_health.len(),
-            if scores.is_empty() {
-                "none".to_string()
-            } else {
-                scores.join(" ")
-            }
+            self.shard_health.len()
         )?;
         let calibrated: Vec<String> = BackendTier::ALL
             .iter()
@@ -1034,19 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_quantile_needs_min_samples() {
-        let s = Stats::new(1, 4);
-        assert_eq!(s.exec_latency_quantile(0.95, 4), None);
-        for _ in 0..3 {
-            s.observe_exec_latency(Duration::from_micros(100));
-        }
-        assert_eq!(s.exec_latency_quantile(0.95, 4), None, "3 < 4 samples");
-        s.observe_exec_latency(Duration::from_micros(800));
-        let q = s.exec_latency_quantile(0.95, 4).expect("estimate ready");
-        assert!(q >= Duration::from_micros(500), "p95 lands in the slow bucket, got {q:?}");
-    }
-
-    #[test]
     fn display_mentions_overload_fields() {
         let s = Stats::new(2, 4);
         s.submitted.fetch_add(5, Ordering::Relaxed);
@@ -1054,7 +927,6 @@ mod tests {
         s.overload_sheds[2].fetch_add(2, Ordering::Relaxed);
         s.breaker_opens.fetch_add(1, Ordering::Relaxed);
         s.set_breaker_state(1, BreakerState::Open);
-        s.hedges_dispatched.fetch_add(3, Ordering::Relaxed);
         s.set_brownout_level(BrownoutLevel::CapBatch);
         let snap = s.snapshot(Duration::from_secs(1), 0);
         assert_eq!(snap.admitted_by_class, [5, 0, 0]);
@@ -1065,31 +937,6 @@ mod tests {
         assert!(text.contains("overload: level cap-batch"));
         assert!(text.contains("breaker:  1 opens"));
         assert!(text.contains("w1:open"));
-        assert!(text.contains("hedges:   3 dispatched"));
-    }
-
-    #[test]
-    fn health_ewma_tracks_observations_and_breaker_state() {
-        let s = Stats::new(2, 4);
-        assert!((s.health_score(0) - 1.0).abs() < 1e-6, "shards start healthy");
-        // A preemption (0.0 sample) pulls the EWMA down; on-time batches
-        // pull it back up.
-        s.observe_health_sample(0, 0.0);
-        assert!((s.health_score(0) - 0.8).abs() < 1e-6);
-        s.observe_health_sample(0, 1.0);
-        assert!((s.health_score(0) - 0.84).abs() < 1e-6);
-        // Effective health is zeroed by an open breaker and by shard death,
-        // without touching the underlying EWMA.
-        s.set_breaker_state(0, BreakerState::Open);
-        assert_eq!(s.effective_health(0), 0.0);
-        assert!((s.health_score(0) - 0.84).abs() < 1e-6);
-        s.set_breaker_state(0, BreakerState::Closed);
-        assert!((s.effective_health(0) - 0.84).abs() < 1e-6);
-        s.mark_shard_dead(1);
-        assert_eq!(s.effective_health(1), 0.0);
-        let snap = s.snapshot(Duration::from_secs(1), 0);
-        assert!((snap.shard_health_score[0] - 0.84).abs() < 1e-6);
-        assert!(snap.to_string().contains("scores w0:0.84"));
     }
 
     #[test]
@@ -1194,8 +1041,11 @@ mod tests {
     #[test]
     fn shard_death_flips_health() {
         let s = Stats::new(3, 4);
+        // An open breaker parks a shard; it does not retire it.
+        s.set_breaker_state(0, BreakerState::Open);
         s.mark_shard_dead(1);
         let snap = s.snapshot(Duration::from_secs(1), 0);
+        assert_eq!(snap.breaker_states[0], BreakerState::Open);
         assert_eq!(snap.shard_health, vec![true, false, true]);
         assert_eq!(snap.healthy_workers(), 2);
         assert!(snap.to_string().contains("2/3 shards healthy"));

@@ -32,12 +32,9 @@ use crate::batch;
 use crate::config::CrossCheckCorruption;
 use crate::domain::{cycle_budget, panic_message, FaultDomain, Rebuilt};
 use crate::error::{RetryClass, ServeError};
-use crate::overload::{self, BreakerDecision, BreakerEvent, CircuitBreaker};
+use crate::overload::{BreakerDecision, BreakerEvent, CircuitBreaker};
 use crate::retry;
-use crate::server::{
-    next_work, register_inflight, remove_inflight, settle, Delivery, ModelEntry, ModelId, Pending, QueueState, Response, Shared,
-    Work,
-};
+use crate::server::{next_work, settle, ModelEntry, ModelId, Pending, QueueState, Shared};
 use crate::stats::WorkerExit;
 
 /// Lock the shared queue, adopting (not propagating) poisoned state.
@@ -239,11 +236,10 @@ impl Shard {
         self.restart_or_retire(shared);
     }
 
-    /// Account a liveness preemption: count it, penalize the shard's
-    /// health score, and walk the same restart ladder as a panic.
+    /// Account a liveness preemption: count it and walk the same restart
+    /// ladder as a panic.
     fn note_preemption(&mut self, shared: &Shared) {
         shared.stats.watchdog_preemptions.fetch_add(1, Ordering::Relaxed);
-        shared.stats.observe_health_sample(self.worker, 0.0);
         self.restart_or_retire(shared);
     }
 
@@ -294,12 +290,7 @@ fn shed_degraded(shared: &Shared, pendings: Vec<Pending>) {
     let workers = shared.config.workers;
     for p in pendings {
         shared.stats.degraded_sheds.fetch_add(1, Ordering::Relaxed);
-        settle(
-            shared,
-            p.idem_key,
-            &p.reply,
-            Err(ServeError::Degraded { healthy: 0, workers }),
-        );
+        settle(shared, p.idem_key, p.reply, Err(ServeError::Degraded { healthy: 0, workers }));
     }
 }
 
@@ -385,8 +376,7 @@ fn run_group(
 /// cancel token installed) when the backend's *own tier* is calibrated
 /// (the fast tier burns wall time orders of magnitude slower per charged
 /// cycle, so tiers never share an ns-per-cycle estimate), and — on success
-/// — the run's timing folded into that tier's calibration and the shard's
-/// health EWMA.
+/// — the run's timing folded into that tier's calibration.
 ///
 /// On the fast tier, a successful run that injected no chaos faults is
 /// captured into `sample_slot` (first one per cross-check window) for the
@@ -421,13 +411,6 @@ fn run_with_liveness(
     if let Ok((ofm, report)) = &result {
         calibration.observe(predicted, wall);
         shared.stats.observe_cycles_charged(tier, report.cycles);
-        if let Some(ns) = calibration.get() {
-            // Health observation: 1.0 when the run landed at (or under)
-            // its predicted wall time, shrinking toward 0 as it overruns.
-            let predicted_ns = predicted as f64 * ns;
-            let obs = (predicted_ns / (wall.as_nanos() as f64).max(1.0)).min(1.0);
-            shared.stats.observe_health_sample(worker, obs);
-        }
         if tier == BackendTier::Fast
             && cfg.cross_check_interval > 0
             && sample_slot.is_none()
@@ -488,74 +471,9 @@ fn record_breaker(shared: &Shared, worker: usize, breaker: &mut CircuitBreaker, 
     shared.stats.set_breaker_state(worker, breaker.state());
 }
 
-/// Re-execute another shard's slow in-flight batch (hedged execution).
-/// Replies race the primary per request: [`Delivery::Delivered`] means
-/// this hedge won that request (count it — the primary will see
-/// `Duplicate` and skip its own counting); `Duplicate` means the primary
-/// beat us. Failures send nothing — the primary owns the error/retry
-/// path, so a broken hedge shard can never fail a request the primary
-/// would have completed. Returns whether execution failed (the hedging
-/// shard's own breaker sample).
-fn run_hedge(shared: &Shared, shard: &mut Shard, model: ModelId, pendings: Vec<Pending>) -> bool {
-    let now = Instant::now();
-    let live: Vec<Pending> = pendings.into_iter().filter(|p| p.deadline.is_none_or(|d| d >= now)).collect();
-    if live.is_empty() {
-        // Nothing worth racing; the primary handles the expiries.
-        shared.stats.hedge_losses.fetch_add(1, Ordering::Release);
-        return false;
-    }
-    let (layer, weights): (ConvLayer, Arc<Tensor>) = {
-        let models = read_models(shared);
-        let entry = &models[model.0];
-        (entry.layer.clone(), Arc::clone(&entry.weights))
-    };
-    let batch_size = live.len();
-    match shard.execute(shared, &layer, &weights, &live) {
-        Ok((outputs, report)) => {
-            let done = Instant::now();
-            let mut delivered_any = false;
-            for (p, output) in live.into_iter().zip(outputs) {
-                let latency = done.duration_since(p.enqueued);
-                let delivery = settle(
-                    shared,
-                    p.idem_key,
-                    &p.reply,
-                    Ok(Response {
-                        output,
-                        report: report.clone(),
-                        batch_size,
-                        worker: shard.worker,
-                        latency,
-                        request_id: p.reply.request_id(),
-                    }),
-                );
-                if delivery == Delivery::Delivered {
-                    delivered_any = true;
-                    shared.stats.completed.fetch_add(1, Ordering::Release);
-                    shared.stats.observe_latency(latency);
-                    if p.integrity_hit {
-                        shared.stats.integrity_recovered.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            if delivered_any {
-                shared.stats.hedge_wins.fetch_add(1, Ordering::Release);
-            } else {
-                shared.stats.hedge_losses.fetch_add(1, Ordering::Release);
-            }
-            false
-        }
-        Err(_) => {
-            shared.stats.hedge_losses.fetch_add(1, Ordering::Release);
-            true
-        }
-    }
-}
-
-/// The worker-thread body: pull work (fresh batches or hedges of other
-/// shards' slow batches), run it through the retry policy, and report how
-/// the thread ended. Exits `Clean` when the queue drains for shutdown,
-/// `Unhealthy` when the shard's restart budget runs out mid-service or the
+/// The worker-thread body: pull batches, run them through the retry
+/// policy, and report how the thread ended. Exits `Clean` when the queue
+/// drains for shutdown, `Unhealthy` when the shard's restart budget runs out mid-service or the
 /// canary self-test retires it.
 ///
 /// A per-shard circuit breaker samples batch outcomes: a shard whose
@@ -601,49 +519,21 @@ pub(crate) fn run_worker(shared: &Arc<Shared>, worker: usize) -> WorkerExit {
             }
         }
         shared.stats.set_breaker_state(worker, breaker.state());
-        // Hedge only when the latency estimate has matured and another
-        // shard exists to race against.
-        let hedge_threshold = if ov.hedge_quantile > 0.0 && shared.config.workers > 1 {
-            overload::hedge_threshold(
-                shared.stats.exec_latency_quantile(ov.hedge_quantile, ov.hedge_min_samples),
-                ov.hedge_floor,
-            )
-        } else {
-            None
-        };
-        let Some((work, slept)) = next_work(shared, worker, hedge_threshold) else {
+        let Some((model, pendings, slept)) = next_work(shared) else {
             return WorkerExit::Clean;
         };
-        match work {
-            Work::Batch { model, pendings } => {
-                let busy_start = Instant::now();
-                let inflight = hedge_threshold
-                    .is_some()
-                    .then(|| register_inflight(shared, worker, model, &pendings));
-                let outcome = retry::process(shared, &mut shard, model, pendings);
-                if let Some(id) = inflight {
-                    remove_inflight(shared, id);
-                }
-                let busy = busy_start.elapsed();
-                shared.stats.observe_worker_busy(worker, busy);
-                if outcome.executed {
-                    shared.stats.observe_exec_latency(busy);
-                    record_breaker(shared, worker, &mut breaker, outcome.any_failed);
-                }
-                batches += 1;
-                if canary_interval > 0 && batches.is_multiple_of(canary_interval) {
-                    shard.run_canary(shared);
-                }
-                if cross_interval > 0 && batches.is_multiple_of(cross_interval) {
-                    shard.run_cross_check(shared);
-                }
-            }
-            Work::Hedge { model, pendings } => {
-                let busy_start = Instant::now();
-                let failed = run_hedge(shared, &mut shard, model, pendings);
-                shared.stats.observe_worker_busy(worker, busy_start.elapsed());
-                record_breaker(shared, worker, &mut breaker, failed);
-            }
+        let busy_start = Instant::now();
+        let outcome = retry::process(shared, &mut shard, model, pendings);
+        shared.stats.observe_worker_busy(worker, busy_start.elapsed());
+        if outcome.executed {
+            record_breaker(shared, worker, &mut breaker, outcome.any_failed);
+        }
+        batches += 1;
+        if canary_interval > 0 && batches.is_multiple_of(canary_interval) {
+            shard.run_canary(shared);
+        }
+        if cross_interval > 0 && batches.is_multiple_of(cross_interval) {
+            shard.run_cross_check(shared);
         }
         // A lightly loaded shard on the fast tier is microseconds of work
         // between sleeps, and a sleeper is woken on the core it last ran

@@ -118,9 +118,9 @@ impl Watchdog {
     /// The watchdog thread body: sleep until the nearest armed deadline
     /// (or the bell), cancel every run past its deadline, repeat.
     /// Preemption *counting* happens where the cancelled run surfaces —
-    /// this thread only fires tokens and invokes `on_fire(slot)` so its
-    /// owner can record the penalty (the server charges the shard's health
-    /// EWMA; the pipeline counts the stuck stage).
+    /// this thread only fires tokens and invokes `on_fire(slot)` for any
+    /// bookkeeping its owner keeps per firing (the pipeline counts the
+    /// stuck stage; the server keeps none).
     fn run(&self, on_fire: impl Fn(usize)) {
         let mut slots = self.lock();
         loop {

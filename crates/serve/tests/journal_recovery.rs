@@ -225,9 +225,9 @@ fn concurrent_duplicate_parks_on_the_owner_and_shares_its_reply() {
         .submit_idem(id, ifm.clone(), None, Priority::Interactive, 0xCAFE)
         .unwrap();
     assert_eq!(t1.wait().unwrap().output, golden);
-    // The reply is delivered before its Ack is journaled (settlement must
-    // first learn whether the delivery lost a hedge race), so the key's
-    // reservation can outlive `wait()`: a retry sent now may park on it and
+    // The reply is delivered before its Ack is journaled (a reply never
+    // waits on the journal's inline fsync), so the key's reservation can
+    // outlive `wait()`: a retry sent now may park on it and
     // share the owner's reply instead of being redelivered. The append
     // count is stored under the journal lock before the reservation is
     // released and the retry needs that lock, so admit + ack = 2 appends

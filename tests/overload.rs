@@ -1,7 +1,7 @@
 //! Integration tests of the overload-control subsystem: priority classes
 //! and eviction, CoDel brownout escalation, concurrent-admission capacity
 //! accounting, shutdown under standing overload, per-shard circuit
-//! breakers and hedged execution.
+//! breakers, and exactly-once counting under concurrent clients.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -249,22 +249,16 @@ fn circuit_breaker_opens_on_failure_and_probe_recloses() {
     assert_eq!(stats.breaker_closes, 1, "the successful probe re-closed it");
 }
 
-/// With hedging enabled, racing replicas never change results: every
-/// response stays bit-exact with the golden reference, each request is
-/// counted exactly once, and the hedge ledger stays consistent.
+/// Concurrent clients on two shards: every response stays bit-exact with
+/// the golden reference, each request is counted exactly once, and no
+/// reply goes astray.
 #[test]
-fn hedged_execution_stays_bit_exact_and_counts_once() {
+fn concurrent_clients_stay_bit_exact_and_count_once() {
     let server = Server::start(
         ServeConfig::for_spec(&spec())
             .with_workers(2)
             .with_max_batch(2)
-            .with_max_linger(Duration::from_micros(200))
-            .with_overload(OverloadConfig {
-                hedge_quantile: 0.5,
-                hedge_floor: Duration::ZERO,
-                hedge_min_samples: 3,
-                ..OverloadConfig::default()
-            }),
+            .with_max_linger(Duration::from_micros(200)),
     );
     let layer = ConvLayer::depthwise("dw", 4, 12, 12, 3, 1, 1);
     let weights = layer.random_weights(9);
@@ -278,7 +272,7 @@ fn hedged_execution_stays_bit_exact_and_counts_once() {
                     let ifm = Tensor::random(4, 12, 12, t * 100 + i);
                     let golden = reference::run_layer(layer, &ifm, weights).unwrap();
                     let resp = server.submit(id, ifm).unwrap().wait().unwrap();
-                    assert_eq!(resp.output, golden, "hedged serving broke bit-exactness");
+                    assert_eq!(resp.output, golden, "concurrent serving broke bit-exactness");
                     total.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -286,7 +280,6 @@ fn hedged_execution_stays_bit_exact_and_counts_once() {
     });
     let stats = server.shutdown();
     assert_eq!(total.load(Ordering::Relaxed), 40);
-    assert_eq!(stats.completed, 40, "each request counted exactly once, hedges or not");
-    assert!(stats.hedge_wins + stats.hedge_losses <= stats.hedges_dispatched);
+    assert_eq!(stats.completed, 40, "each request counted exactly once");
     assert_eq!(stats.late_replies, 0);
 }
