@@ -257,7 +257,6 @@ pub fn run_pipeline_overload(flags: &Flags, common: &Common) -> Result<(), Strin
         .with_overload(OverloadConfig {
             delay_target: Some(DELAY_TARGET),
             delay_window: DELAY_WINDOW,
-            ..plain.overload
         })
         .with_watchdog_slack(WATCHDOG_SLACK);
     base.stage_inflight_cap = STAGE_INFLIGHT_CAP;

@@ -185,8 +185,8 @@ pub fn run_gray(flags: &Flags, common: &Common) -> Result<(), String> {
 
 /// Overload soak: calibrate closed-loop capacity, then drive open-loop at
 /// `--overload-factor` times it with every overload control on — priority
-/// WFQ, CoDel admission, circuit breakers. Shedding and reordering must not
-/// change a single output bit, so every reply is audited.
+/// WFQ, CoDel admission and the brownout ladder. Shedding and reordering
+/// must not change a single output bit, so every reply is audited.
 pub fn run_overload(flags: &Flags, common: &Common) -> Result<(), String> {
     let overload = OverloadConfig {
         delay_target: Some(DELAY_TARGET),
@@ -222,10 +222,7 @@ pub fn run_overload(flags: &Flags, common: &Common) -> Result<(), String> {
 
     let shed = stats.overload_sheds.iter().sum::<u64>() + stats.rejected_queue_full + stats.degraded_sheds;
     println!("overload: {}", classes.summary(common.slo));
-    println!(
-        "overload: {} brownout escalation(s), {} breaker open(s)",
-        stats.brownout_escalations, stats.breaker_opens,
-    );
+    println!("overload: {} brownout escalation(s)", stats.brownout_escalations);
 
     harness::sound(tally.hung, tally.wrong, &stats.worker_exits)?;
     if flags.has("assert-slo") {

@@ -77,16 +77,12 @@ pub struct ChaosConfig {
     pub cross_check_corrupt: Option<CrossCheckCorruption>,
 }
 
-/// Overload-control knobs: CoDel admission and per-shard circuit breakers.
-/// Each knob maps to one failure mode (see the README's overload table);
-/// the defaults keep CoDel admission *off* and the breaker on.
+/// Overload-control knobs: the CoDel admission pair. The defaults keep
+/// CoDel admission *off* (see the README's overload table).
 ///
-/// Both lifecycles read the CoDel pair (`delay_target`, `delay_window`):
-/// a [`Server`](crate::Server) samples its admission queue, a
-/// [`Pipeline`](crate::Pipeline) its *stage-queue* residence times. The
-/// breaker fields are `Server`-only — a pipeline stage has one shard at a
-/// time, so there is nothing to route around.
-/// Priority classes dequeue by the fixed
+/// Both lifecycles read the pair: a [`Server`](crate::Server) samples its
+/// admission queue, a [`Pipeline`](crate::Pipeline) its *stage-queue*
+/// residence times. Priority classes dequeue by the fixed
 /// [`CLASS_WEIGHTS`](crate::overload::CLASS_WEIGHTS) in both.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadConfig {
@@ -96,15 +92,6 @@ pub struct OverloadConfig {
     pub delay_target: Option<Duration>,
     /// The CoDel sliding window over which the minimum sojourn is tracked.
     pub delay_window: Duration,
-    /// Circuit-breaker sliding outcome window per shard; `0` disables the
-    /// breaker.
-    pub breaker_window: usize,
-    /// Failure fraction over the window that trips a shard's breaker.
-    pub breaker_threshold: f64,
-    /// Minimum outcomes in the window before the breaker may trip.
-    pub breaker_min_samples: usize,
-    /// Base open-state cooldown; doubles per consecutive re-open (cap 64×).
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for OverloadConfig {
@@ -112,10 +99,6 @@ impl Default for OverloadConfig {
         OverloadConfig {
             delay_target: None,
             delay_window: Duration::from_millis(10),
-            breaker_window: 16,
-            breaker_threshold: 0.5,
-            breaker_min_samples: 8,
-            breaker_cooldown: Duration::from_millis(10),
         }
     }
 }
@@ -162,8 +145,8 @@ pub struct ServeConfig {
     /// row is retired as [`WorkerExit::Unhealthy`](crate::WorkerExit::Unhealthy).
     /// `0` disables the canary.
     pub canary_interval: u64,
-    /// Overload control: CoDel admission (both lifecycles), hedging and
-    /// circuit breakers (see [`OverloadConfig`]).
+    /// Overload control: CoDel admission, read by both lifecycles (see
+    /// [`OverloadConfig`]).
     pub overload: OverloadConfig,
     /// Watchdog slack: a running batch — or, in a
     /// [`Pipeline`](crate::Pipeline), a running stage pass — is preempted
@@ -471,7 +454,6 @@ mod tests {
     fn overload_defaults_keep_adaptive_machinery_off() {
         let c = ServeConfig::default();
         assert_eq!(c.overload.delay_target, None, "CoDel admission defaults off");
-        assert!(c.overload.breaker_window > 0, "the breaker defaults on");
         let target = Some(Duration::from_millis(5));
         let c = c.with_overload(OverloadConfig {
             delay_target: target,

@@ -41,8 +41,7 @@
 //!   [`Priority`] class; weighted-fair dequeue keeps every class moving
 //!   while CoDel-style adaptive admission climbs a staged brownout ladder
 //!   ([`BrownoutLevel`]) under standing queue delay, shedding lowest class
-//!   first ([`ServeError::Overloaded`]); and per-shard circuit breakers
-//!   keep batches away from flapping shards.
+//!   first ([`ServeError::Overloaded`]).
 //! * **Whole-model pipeline serving** ([`crate::pipeline`]) — a
 //!   [`CompiledModel`](npcgra_sim::CompiledModel) partitioned into
 //!   cycle-balanced stages runs as a [`Pipeline`] of stage-level fault
@@ -98,7 +97,7 @@ pub use config::{ChaosConfig, CrossCheckCorruption, OverloadConfig, ServeConfig,
 pub use error::{ForRequest, RetryClass, ServeError};
 pub use journal::{JournalConfig, RecoveryReport};
 pub use npcgra_sim::{BackendTier, IntegrityMode};
-pub use overload::{BreakerState, BrownoutLevel, Priority};
+pub use overload::{BrownoutLevel, Priority};
 pub use pipeline::{Pipeline, PipelineStatsSnapshot};
 pub use server::{ModelId, Response, Server, Ticket};
 pub use stats::{StatsSnapshot, TenantHandle, TenantSnapshot, WorkerExit};

@@ -1,13 +1,11 @@
 //! Overload control: priority classes, CoDel-style adaptive admission, the
-//! staged brownout ladder, weighted-fair dequeue and per-shard circuit
-//! breakers.
+//! staged brownout ladder and weighted-fair dequeue.
 //!
 //! Everything in this module is a *pure state machine*: no threads, no
 //! `Instant::now()` of its own — callers feed in the clock, so every
 //! transition is unit-testable deterministically. The server keeps the
 //! [`OverloadController`] and [`WfqScheduler`] inside its queue mutex (one
-//! consistent view for admission and batch formation) and one
-//! [`CircuitBreaker`] inside each worker shard.
+//! consistent view for admission and batch formation).
 //!
 //! Admission follows **CoDel** (Nichols & Jacobson): track the *minimum* queue
 //! sojourn time over a sliding window. A small minimum means the queue
@@ -22,7 +20,6 @@
 //! worth racing on a second shard. A slow batch is a gray fault, and the
 //! watchdog and cycle budget preempt it ([`crate::watchdog`]).
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Request priority class, highest first. Admission, shedding and dequeue
@@ -369,181 +366,6 @@ impl WfqScheduler {
     }
 }
 
-/// Circuit-breaker state over one worker shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: batches flow normally while the error window stays below
-    /// the failure threshold.
-    Closed,
-    /// Tripped: the shard stops pulling batches until the cooldown
-    /// elapses, so a flapping shard cannot burn its restart budget (or
-    /// grind requests through doomed retries) at full batch rate.
-    Open,
-    /// Cooldown elapsed: exactly one probe batch is allowed through; its
-    /// outcome closes the breaker or re-opens it with a doubled cooldown.
-    HalfOpen,
-}
-
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BreakerState::Closed => write!(f, "closed"),
-            BreakerState::Open => write!(f, "open"),
-            BreakerState::HalfOpen => write!(f, "half-open"),
-        }
-    }
-}
-
-/// What the shard may do right now, from [`CircuitBreaker::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerDecision {
-    /// Closed: pull batches normally.
-    Allow,
-    /// Half-open: pull exactly one probe batch.
-    Probe,
-    /// Open: wait this long before polling again.
-    Wait(Duration),
-}
-
-/// A state transition reported by [`CircuitBreaker::record`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerEvent {
-    /// The error window tripped (or a probe failed): the breaker opened.
-    Opened,
-    /// A probe succeeded: the breaker closed and the window reset.
-    Closed,
-}
-
-/// Per-shard circuit breaker over a sliding window of batch outcomes.
-///
-/// Sits *under* the supervisor: the supervisor still catches panics and
-/// spends restart budget, but an open breaker keeps new batches away from
-/// a shard whose recent executions mostly fail, giving transient trouble
-/// (thermal faults, a poisoned cache line in the simulated machine) time
-/// to clear at the cost of one probe per cooldown instead of a failed
-/// batch per dispatch.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    /// Sliding outcome window size; `0` disables the breaker entirely.
-    window: usize,
-    /// Failure fraction that trips the breaker.
-    threshold: f64,
-    /// Minimum outcomes in the window before it may trip.
-    min_samples: usize,
-    /// Base cooldown; doubles per consecutive re-open, capped at 64×.
-    cooldown: Duration,
-    state: BreakerState,
-    /// Recent outcomes, `true` = failure.
-    outcomes: VecDeque<bool>,
-    failures: usize,
-    opened_at: Option<Instant>,
-    consecutive_opens: u32,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker. `window == 0` disables it ([`poll`] always allows,
-    /// [`record`] never trips).
-    ///
-    /// [`poll`]: CircuitBreaker::poll
-    /// [`record`]: CircuitBreaker::record
-    #[must_use]
-    pub fn new(window: usize, threshold: f64, min_samples: usize, cooldown: Duration) -> Self {
-        CircuitBreaker {
-            window,
-            threshold,
-            min_samples: min_samples.max(1),
-            cooldown,
-            state: BreakerState::Closed,
-            outcomes: VecDeque::with_capacity(window),
-            failures: 0,
-            opened_at: None,
-            consecutive_opens: 0,
-        }
-    }
-
-    /// The current state.
-    #[must_use]
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// What the owning shard may do right now. Polling an open breaker
-    /// whose cooldown has elapsed transitions it to half-open.
-    pub fn poll(&mut self, now: Instant) -> BreakerDecision {
-        if self.window == 0 {
-            return BreakerDecision::Allow;
-        }
-        match self.state {
-            BreakerState::Closed => BreakerDecision::Allow,
-            BreakerState::HalfOpen => BreakerDecision::Probe,
-            BreakerState::Open => {
-                let until = self.opened_at.expect("open breaker has an open time") + self.current_cooldown();
-                if now >= until {
-                    self.state = BreakerState::HalfOpen;
-                    BreakerDecision::Probe
-                } else {
-                    BreakerDecision::Wait(until - now)
-                }
-            }
-        }
-    }
-
-    /// Record one batch outcome (`failed` = any execution in the batch
-    /// failed). Returns the transition it caused, if any.
-    pub fn record(&mut self, now: Instant, failed: bool) -> Option<BreakerEvent> {
-        if self.window == 0 {
-            return None;
-        }
-        match self.state {
-            BreakerState::HalfOpen => {
-                if failed {
-                    self.open(now);
-                    Some(BreakerEvent::Opened)
-                } else {
-                    self.state = BreakerState::Closed;
-                    self.outcomes.clear();
-                    self.failures = 0;
-                    self.consecutive_opens = 0;
-                    self.opened_at = None;
-                    Some(BreakerEvent::Closed)
-                }
-            }
-            BreakerState::Closed => {
-                self.outcomes.push_back(failed);
-                if failed {
-                    self.failures += 1;
-                }
-                while self.outcomes.len() > self.window {
-                    if self.outcomes.pop_front() == Some(true) {
-                        self.failures -= 1;
-                    }
-                }
-                let n = self.outcomes.len();
-                if n >= self.min_samples && self.failures as f64 >= self.threshold * n as f64 {
-                    self.open(now);
-                    return Some(BreakerEvent::Opened);
-                }
-                None
-            }
-            // Outcomes that were already in flight when the breaker opened
-            // do not move it; the next probe decides.
-            BreakerState::Open => None,
-        }
-    }
-
-    fn open(&mut self, now: Instant) {
-        self.state = BreakerState::Open;
-        self.opened_at = Some(now);
-        self.consecutive_opens += 1;
-        self.outcomes.clear();
-        self.failures = 0;
-    }
-
-    fn current_cooldown(&self) -> Duration {
-        self.cooldown * (1u32 << self.consecutive_opens.saturating_sub(1).min(6))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,81 +548,5 @@ mod tests {
             }
         }
         assert!(batch_run <= 6, "idle class replayed banked credit: {batch_run}/10");
-    }
-
-    #[test]
-    fn breaker_trips_at_the_failure_threshold_and_recovers_via_probe() {
-        let mut b = CircuitBreaker::new(8, 0.5, 4, 10 * MS);
-        let start = t0();
-        assert_eq!(b.poll(start), BreakerDecision::Allow);
-        // Three failures out of four: 75% ≥ 50% with min samples met.
-        assert_eq!(b.record(start, true), None);
-        assert_eq!(b.record(start, false), None);
-        assert_eq!(b.record(start, true), None);
-        assert_eq!(b.record(start, true), Some(BreakerEvent::Opened));
-        assert_eq!(b.state(), BreakerState::Open);
-        match b.poll(start + MS) {
-            BreakerDecision::Wait(d) => assert!(d <= 10 * MS),
-            other => panic!("expected Wait, got {other:?}"),
-        }
-        // Cooldown elapsed → exactly one probe; success closes.
-        assert_eq!(b.poll(start + 11 * MS), BreakerDecision::Probe);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert_eq!(b.record(start + 12 * MS, false), Some(BreakerEvent::Closed));
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.poll(start + 13 * MS), BreakerDecision::Allow);
-    }
-
-    #[test]
-    fn failed_probe_reopens_with_doubled_cooldown() {
-        let mut b = CircuitBreaker::new(4, 0.5, 2, 10 * MS);
-        let start = t0();
-        b.record(start, true);
-        assert_eq!(b.record(start, true), Some(BreakerEvent::Opened));
-        assert_eq!(b.poll(start + 10 * MS), BreakerDecision::Probe);
-        assert_eq!(b.record(start + 10 * MS, true), Some(BreakerEvent::Opened));
-        // Second consecutive open: cooldown doubles to 20 ms.
-        match b.poll(start + 10 * MS + 10 * MS) {
-            BreakerDecision::Wait(d) => assert!(d > Duration::ZERO && d <= 10 * MS),
-            other => panic!("expected Wait (doubled cooldown), got {other:?}"),
-        }
-        assert_eq!(b.poll(start + 10 * MS + 20 * MS), BreakerDecision::Probe);
-        // Success resets the doubling.
-        assert_eq!(b.record(start + 31 * MS, false), Some(BreakerEvent::Closed));
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn sparse_failures_never_trip_the_breaker() {
-        let mut b = CircuitBreaker::new(8, 0.5, 4, 10 * MS);
-        let start = t0();
-        for i in 0..100 {
-            // One failure in every five outcomes: 20% < 50%.
-            assert_eq!(b.record(start, i % 5 == 0), None, "outcome {i}");
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn disabled_breaker_is_inert() {
-        let mut b = CircuitBreaker::new(0, 0.5, 1, MS);
-        let start = t0();
-        for _ in 0..50 {
-            assert_eq!(b.record(start, true), None);
-        }
-        assert_eq!(b.poll(start), BreakerDecision::Allow);
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn outcomes_landing_while_open_do_not_move_the_breaker() {
-        let mut b = CircuitBreaker::new(4, 0.5, 2, 10 * MS);
-        let start = t0();
-        b.record(start, true);
-        assert_eq!(b.record(start, true), Some(BreakerEvent::Opened));
-        // In-flight batches finishing after the trip are ignored.
-        assert_eq!(b.record(start + MS, false), None);
-        assert_eq!(b.record(start + MS, true), None);
-        assert_eq!(b.state(), BreakerState::Open);
     }
 }

@@ -27,25 +27,12 @@ use crate::error::{RetryClass, ServeError};
 use crate::server::{settle, ModelId, Pending, Response, Shared};
 use crate::supervisor::{read_models, requeue_or_fail, Shard};
 
-/// What [`process`] did with its batch — the circuit breaker's sample.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ProcessOutcome {
-    /// Whether the shard actually executed anything (an all-expired batch
-    /// is shed without touching the simulator and is not a breaker sample).
-    pub(crate) executed: bool,
-    /// Whether any execution attempt failed (including attempts that later
-    /// succeeded on retry) — the breaker tracks shard flakiness, not
-    /// request outcomes.
-    pub(crate) any_failed: bool,
-}
-
 /// Run one dequeued batch through deadline shedding, supervised execution
 /// and the bisect/retry policy, replying to every request exactly once
 /// (or handing unfinished work back to the queue if the shard dies). Each
 /// reply consumes the request's only sender, so completed/failed/
 /// quarantined count each request once.
-pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendings: Vec<Pending>) -> ProcessOutcome {
-    let mut outcome = ProcessOutcome::default();
+pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendings: Vec<Pending>) {
     // Shed requests whose deadline passed while queued — before spending
     // any simulation time on them.
     let now = Instant::now();
@@ -59,7 +46,7 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
         }
     }
     if live.is_empty() {
-        return outcome;
+        return;
     }
 
     let (layer, weights): (ConvLayer, Arc<Tensor>) = {
@@ -81,13 +68,12 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
                 rest.extend(g);
             }
             requeue_or_fail(shared, model, rest);
-            return outcome;
+            return;
         }
         if generation > 0 {
             shared.stats.retries.fetch_add(1, Ordering::Relaxed);
         }
         let batch_size = group.len();
-        outcome.executed = true;
         match shard.execute(shared, &layer, &weights, &group) {
             Ok((outputs, report)) => {
                 shared.stats.observe_batch(batch_size);
@@ -130,7 +116,6 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
                 }
             }
             Err(e) => {
-                outcome.any_failed = true;
                 let mut group = group;
                 let integrity = matches!(e, ServeError::Integrity(_));
                 if integrity {
@@ -173,5 +158,4 @@ pub(crate) fn process(shared: &Shared, shard: &mut Shard, model: ModelId, pendin
             }
         }
     }
-    outcome
 }

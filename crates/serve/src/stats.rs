@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use npcgra_sim::BackendTier;
 
-use crate::overload::{BreakerState, BrownoutLevel, CLASSES};
+use crate::overload::{BrownoutLevel, CLASSES};
 
 /// How a worker shard's thread ended, reported by
 /// [`Server::shutdown`](crate::Server::shutdown) instead of a panic
@@ -191,12 +191,6 @@ pub(crate) struct Stats {
     pub brownout_deescalations: AtomicU64,
     /// Current brownout rung, as [`BrownoutLevel`]'s dense step.
     brownout_gauge: AtomicU64,
-    /// Circuit-breaker trips across all shards.
-    pub breaker_opens: AtomicU64,
-    /// Breaker recoveries (a probe batch succeeded).
-    pub breaker_closes: AtomicU64,
-    /// Probe batches dispatched by half-open breakers.
-    pub breaker_probes: AtomicU64,
     /// Batches preempted by the liveness layer — the watchdog cancelling a
     /// stuck run's token, or a run blowing its cycle budget.
     pub watchdog_preemptions: AtomicU64,
@@ -215,8 +209,6 @@ pub(crate) struct Stats {
     pub cross_check_failed: AtomicU64,
     /// Per-shard death flags, set once when the restart budget runs out.
     shard_dead: Vec<AtomicBool>,
-    /// Per-shard breaker state gauge (the [`BreakerState`] dense index).
-    breaker_state: Vec<AtomicU64>,
     /// Records appended to the admission journal (admits + acks). These
     /// six journal counters are mirrored from the writer's monotone totals
     /// under the journal lock (`Relaxed` stores), so they are all zero on
@@ -271,16 +263,12 @@ impl Stats {
             brownout_escalations: AtomicU64::new(0),
             brownout_deescalations: AtomicU64::new(0),
             brownout_gauge: AtomicU64::new(0),
-            breaker_opens: AtomicU64::new(0),
-            breaker_closes: AtomicU64::new(0),
-            breaker_probes: AtomicU64::new(0),
             watchdog_preemptions: AtomicU64::new(0),
             ns_per_cycle: Default::default(),
             cycles_charged: std::array::from_fn(|_| AtomicU64::new(0)),
             cross_checks: AtomicU64::new(0),
             cross_check_failed: AtomicU64::new(0),
             shard_dead: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            breaker_state: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             journal_appends: AtomicU64::new(0),
             journal_fsyncs: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
@@ -341,15 +329,6 @@ impl Stats {
     pub(crate) fn set_brownout_level(&self, level: BrownoutLevel) {
         let step = BrownoutLevel::ALL.iter().position(|&l| l == level).unwrap_or(0);
         self.brownout_gauge.store(step as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_breaker_state(&self, worker: usize, state: BreakerState) {
-        let code = match state {
-            BreakerState::Closed => 0u64,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        };
-        self.breaker_state[worker].store(code, Ordering::Relaxed);
     }
 
     pub(crate) fn observe_batch(&self, size: usize) {
@@ -425,18 +404,6 @@ impl Stats {
             brownout_deescalations: self.brownout_deescalations.load(Ordering::Relaxed),
             brownout_level: BrownoutLevel::ALL
                 [(self.brownout_gauge.load(Ordering::Relaxed) as usize).min(BrownoutLevel::ALL.len() - 1)],
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            breaker_closes: self.breaker_closes.load(Ordering::Relaxed),
-            breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
-            breaker_states: self
-                .breaker_state
-                .iter()
-                .map(|s| match s.load(Ordering::Relaxed) {
-                    1 => BreakerState::Open,
-                    2 => BreakerState::HalfOpen,
-                    _ => BreakerState::Closed,
-                })
-                .collect(),
             integrity_checked: self.integrity_checked.load(Ordering::Relaxed),
             integrity_failed: self.integrity_failed.load(Ordering::Relaxed),
             integrity_recovered: self.integrity_recovered.load(Ordering::Relaxed),
@@ -544,14 +511,6 @@ pub struct StatsSnapshot {
     pub brownout_deescalations: u64,
     /// The brownout rung in force at snapshot time.
     pub brownout_level: BrownoutLevel,
-    /// Circuit-breaker trips across all shards.
-    pub breaker_opens: u64,
-    /// Breaker recoveries (a probe batch succeeded).
-    pub breaker_closes: u64,
-    /// Probe batches dispatched by half-open breakers.
-    pub breaker_probes: u64,
-    /// Each shard's breaker state at snapshot time.
-    pub breaker_states: Vec<BreakerState>,
     /// Batches preempted by the liveness layer (the watchdog cancelling a
     /// stuck run, or a run exceeding its cycle budget).
     pub watchdog_preemptions: u64,
@@ -744,24 +703,6 @@ impl std::fmt::Display for StatsSnapshot {
             self.overload_sheds[2],
             self.priority_evictions,
         )?;
-        let breakers: Vec<String> = self
-            .breaker_states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| format!("w{i}:{s}"))
-            .collect();
-        writeln!(
-            f,
-            "breaker:  {} opens, {} closes, {} probes ({})",
-            self.breaker_opens,
-            self.breaker_closes,
-            self.breaker_probes,
-            if breakers.is_empty() {
-                "no shards".to_string()
-            } else {
-                breakers.join(" ")
-            }
-        )?;
         writeln!(
             f,
             "abft:     {} blocks checked, {} failures detected, {} requests recovered; \
@@ -925,18 +866,13 @@ mod tests {
         s.submitted.fetch_add(5, Ordering::Relaxed);
         s.admitted_by_class[0].fetch_add(5, Ordering::Relaxed);
         s.overload_sheds[2].fetch_add(2, Ordering::Relaxed);
-        s.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        s.set_breaker_state(1, BreakerState::Open);
         s.set_brownout_level(BrownoutLevel::CapBatch);
         let snap = s.snapshot(Duration::from_secs(1), 0);
         assert_eq!(snap.admitted_by_class, [5, 0, 0]);
         assert_eq!(snap.overload_sheds, [0, 0, 2]);
         assert_eq!(snap.brownout_level, BrownoutLevel::CapBatch);
-        assert_eq!(snap.breaker_states, vec![BreakerState::Closed, BreakerState::Open]);
         let text = snap.to_string();
         assert!(text.contains("overload: level cap-batch"));
-        assert!(text.contains("breaker:  1 opens"));
-        assert!(text.contains("w1:open"));
     }
 
     #[test]
@@ -1041,11 +977,8 @@ mod tests {
     #[test]
     fn shard_death_flips_health() {
         let s = Stats::new(3, 4);
-        // An open breaker parks a shard; it does not retire it.
-        s.set_breaker_state(0, BreakerState::Open);
         s.mark_shard_dead(1);
         let snap = s.snapshot(Duration::from_secs(1), 0);
-        assert_eq!(snap.breaker_states[0], BreakerState::Open);
         assert_eq!(snap.shard_health, vec![true, false, true]);
         assert_eq!(snap.healthy_workers(), 2);
         assert!(snap.to_string().contains("2/3 shards healthy"));

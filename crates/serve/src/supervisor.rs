@@ -32,7 +32,6 @@ use crate::batch;
 use crate::config::CrossCheckCorruption;
 use crate::domain::{cycle_budget, panic_message, FaultDomain, Rebuilt};
 use crate::error::{RetryClass, ServeError};
-use crate::overload::{BreakerDecision, BreakerEvent, CircuitBreaker};
 use crate::retry;
 use crate::server::{next_work, settle, ModelEntry, ModelId, Pending, QueueState, Shared};
 use crate::stats::WorkerExit;
@@ -456,39 +455,12 @@ fn preferred_kind(layer: &ConvLayer) -> MappingKind {
     }
 }
 
-/// Feed one batch outcome to the shard's circuit breaker and mirror the
-/// resulting state (and any open/close transition) into the stats.
-fn record_breaker(shared: &Shared, worker: usize, breaker: &mut CircuitBreaker, failed: bool) {
-    match breaker.record(Instant::now(), failed) {
-        Some(BreakerEvent::Opened) => {
-            shared.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(BreakerEvent::Closed) => {
-            shared.stats.breaker_closes.fetch_add(1, Ordering::Relaxed);
-        }
-        None => {}
-    }
-    shared.stats.set_breaker_state(worker, breaker.state());
-}
-
 /// The worker-thread body: pull batches, run them through the retry
 /// policy, and report how the thread ended. Exits `Clean` when the queue
 /// drains for shutdown, `Unhealthy` when the shard's restart budget runs out mid-service or the
 /// canary self-test retires it.
-///
-/// A per-shard circuit breaker samples batch outcomes: a shard whose
-/// recent window is mostly failures stops pulling work for a cooldown,
-/// then re-enters via a single probe batch. The gate is bypassed while the
-/// server drains for shutdown — every queued request must still resolve.
 pub(crate) fn run_worker(shared: &Arc<Shared>, worker: usize) -> WorkerExit {
     let mut shard = Shard::new(shared, worker);
-    let ov = &shared.config.overload;
-    let mut breaker = CircuitBreaker::new(
-        ov.breaker_window,
-        ov.breaker_threshold,
-        ov.breaker_min_samples,
-        ov.breaker_cooldown,
-    );
     let canary_interval = shared.config.canary_interval;
     // The golden cross-check only exists on the fast tier: the cycle tier
     // IS the golden reference, replaying it against itself proves nothing.
@@ -499,35 +471,12 @@ pub(crate) fn run_worker(shared: &Arc<Shared>, worker: usize) -> WorkerExit {
     };
     let mut batches = 0u64;
     while shard.alive {
-        match breaker.poll(Instant::now()) {
-            BreakerDecision::Allow => {}
-            BreakerDecision::Probe => {
-                shared.stats.breaker_probes.fetch_add(1, Ordering::Relaxed);
-            }
-            BreakerDecision::Wait(cooldown) => {
-                let q = lock_queue(shared);
-                if q.open {
-                    shared.stats.set_breaker_state(worker, breaker.state());
-                    // Park on the shared work condvar instead of
-                    // sleep-polling: cooldown expiry wakes us via the
-                    // timeout, shutdown (and queue churn) via the bell —
-                    // an open breaker costs zero wakeups on an idle server.
-                    drop(shared.ready.wait_timeout(q, cooldown).unwrap_or_else(PoisonError::into_inner));
-                    continue;
-                }
-                // Draining: serve regardless, shutdown must complete.
-            }
-        }
-        shared.stats.set_breaker_state(worker, breaker.state());
         let Some((model, pendings, slept)) = next_work(shared) else {
             return WorkerExit::Clean;
         };
         let busy_start = Instant::now();
-        let outcome = retry::process(shared, &mut shard, model, pendings);
+        retry::process(shared, &mut shard, model, pendings);
         shared.stats.observe_worker_busy(worker, busy_start.elapsed());
-        if outcome.executed {
-            record_breaker(shared, worker, &mut breaker, outcome.any_failed);
-        }
         batches += 1;
         if canary_interval > 0 && batches.is_multiple_of(canary_interval) {
             shard.run_canary(shared);

@@ -284,7 +284,6 @@ fn one_config_arms_both_lifecycles_and_stays_inert_under_light_load() {
         .with_overload(OverloadConfig {
             delay_target: Some(Duration::from_millis(50)),
             delay_window: Duration::from_millis(20),
-            ..OverloadConfig::default()
         })
         .with_watchdog_slack(64.0);
     let weights: Vec<Tensor> = layers
