@@ -26,7 +26,7 @@
 //!
 //! | test file                           | slice                                               |
 //! |-------------------------------------|-----------------------------------------------------|
-//! | `oracle.rs`                         | the served and direct sets                          |
+//! | `oracle.rs`                         | the served and direct sets; the liveness rows       |
 //! | `block_surface.rs`                  | the pinned shapes on both benchmark machines        |
 //! | `tier_parity.rs`                    | drawn cases on undivided memory; standard convs     |
 //! | `tests/cross_mapping_properties.rs` | drawn cases on divided memory, one test per mapping |
@@ -45,8 +45,8 @@ use npcgra_kernels::dwc_general::DwcGeneralLayerMap;
 use npcgra_kernels::{BlockProgram, ConfigImage};
 use npcgra_nn::{models, reference, Activation, ConvKind, ConvLayer, Tensor};
 use npcgra_sim::{
-    backend_for, functional_ofm, run_standard_via_im2col, BackendTier, CompiledLayer, IntegrityMode, Machine, MappingKind,
-    ResolvedMapping as R, Run,
+    backend_for, functional_ofm, run_standard_via_im2col, BackendTier, CancelToken, CompiledLayer, FaultDims, FaultPlan,
+    FaultSite, GrayRates, IntegrityMode, Machine, MappingKind, ResolvedMapping as R, Run, SimCause, TemporalFault,
 };
 use proptest::test_runner::TestRng;
 
@@ -483,4 +483,109 @@ pub fn check_drawn(undivided: bool, keep: impl Fn(&Case) -> bool) -> Tally {
     let cases: Vec<Case> = drawn_cases(undivided).into_iter().filter(|c| keep(c)).collect();
     assert!(!cases.is_empty(), "no drawn case was picked");
     run_set(&cases, true, |c| usize::from(matches!(c.spec.cols, 1 | 3 | 8)))
+}
+
+/// The temporal faults the liveness rows draw: a stall long enough to
+/// overrun a one-block budget, the mildest slowdown, and (one draw in ten)
+/// a wedge that only the budget or a cancelled token ends.
+const GRAY: GrayRates = GrayRates {
+    rate: 0.008,
+    stall_cycles: 24,
+    slowdown_factor: 2,
+};
+
+/// What the liveness rows covered: outcomes by cause, and the temporal
+/// faults the runs executed by kind.
+#[derive(Debug, Default)]
+pub struct Liveness {
+    pub ok: usize,
+    pub over_budget: usize,
+    pub cancelled: usize,
+    pub stalls: usize,
+    pub slowdowns: usize,
+    pub wedges: usize,
+}
+
+/// The liveness rows: for each of `seeds`, one layer per mapping on the
+/// 4×4 under a temporal-only plan `FaultPlan::gray(seed, 0.0, GRAY)` and a
+/// per-block cycle budget of 1, 2 or 3 blocks' cycles (budget and mapping
+/// rotate with the seed); then one run under a pre-cancelled token. Both
+/// tiers must return the same OFM bits and report, or the same
+/// [`SimError`](npcgra_sim::SimError), having executed the same number of
+/// temporal faults.
+pub fn check_liveness(seeds: std::ops::Range<u64>) -> Liveness {
+    use MappingKind::{Auto, BatchedDwcS1 as Batched, MatmulDwc as Matmul};
+    let spec = CgraSpec::np_cgra(4, 4);
+    let layers = [
+        (ConvLayer::pointwise("live.pw", 8, 8, 4, 4), Auto),
+        (dw("live.dw.s1", 2, 6, 6, 3, 1, 1), Auto),
+        (dw("live.dw.s2", 2, 7, 7, 3, 2, 1), Auto),
+        (dw("live.dw.mm", 2, 6, 6, 3, 1, 1), Matmul),
+        (dw("live.dw.b", 8, 4, 4, 3, 1, 1), Batched),
+    ];
+    let programs: Vec<CompiledLayer> = layers
+        .iter()
+        .map(|(layer, kind)| CompiledLayer::compile(layer, &spec, *kind).expect("the liveness layers map"))
+        .collect();
+    let mut tally = Liveness::default();
+    let run = |compiled: &CompiledLayer, tier: BackendTier, plan: &FaultPlan, budget: Option<u64>, token: Option<CancelToken>| {
+        let layer = compiled.layer();
+        let ifm = Tensor::random(layer.in_channels(), layer.in_h(), layer.in_w(), 7);
+        let w = layer.random_weights(8);
+        let mut backend = backend_for(tier, &spec);
+        backend.set_fault_plan(Some(plan.clone()));
+        backend.set_cycle_budget(budget);
+        backend.set_cancel_token(token);
+        let result = backend.run_layer(compiled, &ifm, &w);
+        (result, backend.temporal_injected())
+    };
+    for seed in seeds {
+        let compiled = &programs[seed as usize % programs.len()];
+        let budget = compiled.block_compute_cycles() * (1 + seed / programs.len() as u64 % 3);
+        let plan = FaultPlan::gray(seed, 0.0, GRAY);
+        let row = format!("liveness: {} seed={seed} budget={budget}", compiled.layer().name());
+        let cycle = run(compiled, BackendTier::CycleAccurate, &plan, Some(budget), None);
+        let fast = run(compiled, BackendTier::Fast, &plan, Some(budget), None);
+        assert!(cycle == fast, "{row}: cycle tier {cycle:?} ≠ fast tier {fast:?}");
+        match &cycle.0 {
+            Ok(_) => tally.ok += 1,
+            Err(e) if matches!(e.cause, SimCause::CycleBudgetExceeded { .. }) => tally.over_budget += 1,
+            Err(e) => panic!("{row}: {e}"),
+        }
+        for fault in executed_temporal(compiled, &plan, cycle.1) {
+            match fault {
+                TemporalFault::Stall { .. } => tally.stalls += 1,
+                TemporalFault::Slowdown { .. } => tally.slowdowns += 1,
+                TemporalFault::Wedge => tally.wedges += 1,
+            }
+        }
+    }
+    let token = CancelToken::new();
+    token.cancel();
+    let plan = FaultPlan::gray(0, 0.0, GRAY);
+    let cycle = run(&programs[0], BackendTier::CycleAccurate, &plan, None, Some(token.clone()));
+    let fast = run(&programs[0], BackendTier::Fast, &plan, None, Some(token));
+    assert!(cycle == fast, "liveness: pre-cancelled: {cycle:?} ≠ {fast:?}");
+    let cancelled = matches!(&cycle.0, Err(e) if e.cause == SimCause::Cancelled && (e.tile, e.cycle) == (0, 0));
+    assert!(cancelled, "liveness: pre-cancelled run returned {:?}", cycle.0);
+    tally.cancelled += 1;
+    tally
+}
+
+/// The first `n` temporal faults `plan` draws over a fresh backend's walk
+/// of `compiled` — block `i` is run ordinal `i + 1`, then tile by tile,
+/// cycle by cycle — which are the `n` a run that executed `n` executed.
+fn executed_temporal(compiled: &CompiledLayer, plan: &FaultPlan, n: u64) -> Vec<TemporalFault> {
+    let dims = FaultDims::for_spec(compiled.spec());
+    let blocks = compiled.surface().blocks().expect("the liveness layers partition their OFM");
+    let grid = blocks.iter().enumerate().flat_map(|(i, b)| {
+        (0..b.tiles()).flat_map(move |tile| (0..b.tile_latency()).map(move |cycle| (i as u64 + 1, tile, cycle)))
+    });
+    grid.flat_map(|(run, tile, cycle)| plan.sites_at(run, tile, cycle, &dims))
+        .filter_map(|site| match site {
+            FaultSite::Temporal(t) => Some(t),
+            _ => None,
+        })
+        .take(usize::try_from(n).expect("fits"))
+        .collect()
 }

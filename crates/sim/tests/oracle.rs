@@ -2,7 +2,9 @@
 //! (`harness/mod.rs`): the 77 served layers × bursts 1–4 on the 4×4 and the
 //! 29 `sim_direct` layers on Table 4, each under every integrity mode. The
 //! fast tier runs by default; the cycle-tier leg is `#[ignore]`d (minutes in
-//! a debug build) and runs under `scripts/check.sh`.
+//! a debug build) and runs under `scripts/check.sh`. The liveness rows hold
+//! the two tiers to one outcome under temporal faults, cycle budgets and
+//! cancellation.
 
 mod harness;
 
@@ -37,4 +39,18 @@ fn served_set_holds_every_oracle_on_the_cycle_tier() {
 #[ignore = "cycle-accurate leg: minutes in a debug build; scripts/check.sh runs it in release"]
 fn direct_set_holds_every_oracle_on_the_cycle_tier() {
     run_set(&direct_cases(), true, |c| usize::from(c.mode == IntegrityMode::Off));
+}
+
+#[test]
+fn liveness_rows_are_tier_identical() {
+    let tally = harness::check_liveness(0..90);
+    let covered = [
+        tally.ok,
+        tally.over_budget,
+        tally.cancelled,
+        tally.stalls,
+        tally.slowdowns,
+        tally.wedges,
+    ];
+    assert!(covered.iter().all(|&n| n > 0), "liveness coverage: {tally:?}");
 }
