@@ -12,9 +12,10 @@
 //! watchdog thread per [`Server`](crate::Server) or
 //! [`Pipeline`](crate::Pipeline) (a slot per worker shard or stage) sleeps
 //! until the nearest armed deadline; a run still armed past its deadline
-//! gets its token cancelled, which the machine notices at the next
-//! simulated cycle and returns [`SimCause::Cancelled`](npcgra_sim::SimCause)
-//! — a typed, retryable error the normal retry ladder knows how to route.
+//! gets its token cancelled, which the run notices at its next block
+//! boundary or wedged cycle and returns
+//! [`SimCause::Cancelled`](npcgra_sim::SimCause) — a typed, retryable error
+//! the normal retry ladder knows how to route.
 //!
 //! The wall deadline only arms once the ns-per-cycle estimate
 //! ([`NsPerCycle`](crate::stats::NsPerCycle)) has calibrated on healthy

@@ -1,13 +1,15 @@
 //! Cooperative cancellation for long-running block executions.
 //!
 //! A [`CancelToken`] is a tiny shared flag: a controller (the serving
-//! watchdog, a test harness, a signal handler) clones it, hands the clone
-//! to whoever owns the [`Machine`](crate::Machine), and later calls
-//! [`CancelToken::cancel`]. The machine polls the flag once per simulated
-//! cycle — one relaxed atomic load, negligible next to the cycle's own
-//! work — and returns [`SimCause::Cancelled`](crate::SimCause::Cancelled)
-//! at the next check instead of finishing (or, for a wedged run, instead
-//! of never finishing).
+//! watchdog, a test harness, a signal handler) clones it, installs the
+//! clone on a backend
+//! ([`ExecutionBackend::set_cancel_token`](crate::ExecutionBackend::set_cancel_token)),
+//! and later calls [`CancelToken::cancel`]. The block loop both tiers share
+//! polls the flag at every block boundary and on every cycle its fault walk
+//! visits — stalled and wedged cycles included — and returns
+//! [`SimCause::Cancelled`](crate::SimCause::Cancelled) at the next check
+//! instead of finishing (or, for a wedged run, instead of never
+//! finishing). The cycle-accurate machine itself never polls it.
 //!
 //! Cancellation is *cooperative and sticky*: once cancelled, a token stays
 //! cancelled until [`CancelToken::reset`]; installing a fresh token per

@@ -33,7 +33,6 @@ use npcgra_mem::DmaEngine;
 use npcgra_nn::{ConvKind, ConvLayer, Tensor};
 
 use crate::error::{SimCause, SimError};
-use crate::integrity::{self, IntegrityMode};
 use crate::layer::MappingKind;
 use crate::machine::Machine;
 use crate::report::LayerReport;
@@ -262,60 +261,21 @@ impl CompiledLayer {
     }
 
     /// Run the layer functionally on a caller-owned machine, returning the
-    /// OFM and performance report. The machine must have been built from
-    /// the same spec the layer was compiled for.
-    ///
-    /// If the machine has an [`IntegrityMode`] other than `Off` installed
-    /// ([`Machine::set_integrity_mode`]), every block's extracted outputs
-    /// are verified on the host against the layer's ABFT checksum identity
-    /// (see [`crate::integrity`]): `Verify` fails the run with
-    /// [`SimCause::IntegrityViolation`] (the error's `tile` field carries
-    /// the block index), `VerifyAndRecompute` heals the block in place.
-    /// Checked/failed/recovered block counts land in the report.
+    /// OFM and performance report: the golden cycle-accurate run, with no
+    /// fault plan, integrity check, cycle budget or cancel token (a
+    /// [`backend_for`](crate::backend_for) backend carries those).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on any hardware-rule violation, or — under
-    /// `IntegrityMode::Verify` — when a block fails its output checksum.
+    /// Returns [`SimError`] on any hardware-rule violation, or if the
+    /// program's [`BlockSurface`] fails its partition proof.
     ///
     /// # Panics
     ///
     /// Panics if `machine` was built from a different spec.
     pub fn run_on(&self, machine: &mut Machine, ifm: &Tensor, weights: &Tensor) -> Result<(Tensor, LayerReport), SimError> {
         assert_eq!(*machine.spec(), self.spec, "machine/compiled-layer spec mismatch");
-        let mode = machine.integrity_mode();
-        let prepared = self.prepare(ifm);
-        let mut ofm = Tensor::zeros(self.layer.out_channels(), self.layer.out_h(), self.layer.out_w());
-        let mut blocks: Vec<(u64, u64)> = Vec::with_capacity(self.num_blocks());
-        let (mut checked, mut failed, mut recovered) = (0u64, 0u64, 0u64);
-        for i in 0..self.num_blocks() {
-            let prog = self.materialize(i, &prepared, weights);
-            debug_assert_eq!(prog.compute_cycles(), self.block_compute_cycles(), "uniform block plan");
-            let mut res = machine.run_block(&prog)?;
-            if mode != IntegrityMode::Off {
-                checked += 1;
-                match integrity::verify_block(&self.layer, ifm, weights, &res.ofm) {
-                    Ok(()) => {}
-                    Err(v) => {
-                        failed += 1;
-                        if mode == IntegrityMode::Verify {
-                            return Err(SimError::new(self.layer.name(), i, 0, SimCause::IntegrityViolation(v)));
-                        }
-                        integrity::heal_block(&self.layer, ifm, weights, &mut res.ofm);
-                        recovered += 1;
-                    }
-                }
-            }
-            blocks.push((res.compute_cycles, res.dma_in_cycles + res.dma_out_cycles));
-            for (c, y, x, v) in res.ofm {
-                ofm.set(c, y, x, v);
-            }
-        }
-        let mut report = self.report_from_blocks(&blocks);
-        report.integrity_checked = checked;
-        report.integrity_failed = failed;
-        report.integrity_recovered = recovered;
-        Ok((ofm, report))
+        crate::exec::run_cycle(&mut crate::exec::Runner::default(), machine, self, ifm, weights)
     }
 
     /// Run the layer functionally with blocks distributed over `threads`
@@ -323,10 +283,9 @@ impl CompiledLayer {
     /// Blocks are architecturally independent (each begins with a DMA fill
     /// and ends with a drain), so the result is bit-identical to
     /// [`CompiledLayer::run_on`] — while large layers simulate several
-    /// times faster on a multicore host. The scratch machines are built
-    /// fresh, so no fault plan is active and integrity checking stays
-    /// [`IntegrityMode::Off`]; use [`CompiledLayer::run_on`] with a
-    /// configured machine for chaos or verified runs.
+    /// times faster on a multicore host. Like [`CompiledLayer::run_on`] it
+    /// runs clean; chaos and verified runs go through a
+    /// [`backend_for`](crate::backend_for) backend.
     ///
     /// # Errors
     ///
@@ -381,7 +340,8 @@ impl CompiledLayer {
         Ok((ofm, self.report_from_blocks(&blocks)))
     }
 
-    fn report_from_blocks(&self, blocks: &[(u64, u64)]) -> LayerReport {
+    /// The layer's report from its blocks' `(compute, dma)` cycles.
+    pub(crate) fn report_from_blocks(&self, blocks: &[(u64, u64)]) -> LayerReport {
         let mut report = LayerReport::for_spec(self.layer.name(), &self.spec);
         report.cycles = double_buffered_cycles_exact(blocks);
         report.compute_cycles = blocks.iter().map(|b| b.0).sum();
@@ -479,22 +439,22 @@ mod tests {
         let layer = ConvLayer::depthwise("dw", 4, 10, 10, 3, 1, 1);
         let compiled = CompiledLayer::compile(&layer, &spec4(), MappingKind::Auto).unwrap();
         assert!(compiled.surface.get().is_none(), "compile does no surface work");
-        // The cycle tier never asks for it.
         let (ifm, w) = (Tensor::random(4, 10, 10, 1), layer.random_weights(2));
         compiled.run_on(&mut Machine::new(&spec4()), &ifm, &w).unwrap();
-        assert!(compiled.surface.get().is_none());
+        let built: *const BlockSurface = compiled.surface.get().expect("the first run builds it").as_ref();
         let blocks = compiled.surface().blocks().unwrap();
         assert_eq!(blocks.len(), compiled.num_blocks());
-        assert!(std::ptr::eq(compiled.surface(), compiled.surface()), "built once");
+        assert!(std::ptr::eq(compiled.surface(), built), "built once");
         assert!(blocks.iter().all(|b| b.compute_cycles() == compiled.block_compute_cycles()));
     }
 
     #[test]
     fn a_surface_that_fails_its_partition_proof_fails_the_run_with_a_typed_error() {
-        use crate::exec::{ExecutionBackend, FastMachine};
+        use crate::exec::{backend_for, BackendTier};
+        use crate::integrity::IntegrityMode;
         // A "mapping" whose second block re-extracts the first block's
-        // words (and so also leaves a hole): the fast tier must refuse to
-        // run it in every integrity mode, not return a wrong tensor.
+        // words (and so also leaves a hole): neither tier may run it, in
+        // any integrity mode, rather than return a wrong tensor.
         let layer = ConvLayer::depthwise("dw", 2, 8, 8, 3, 1, 1);
         let compiled = CompiledLayer::compile(&layer, &spec4(), MappingKind::Auto).unwrap();
         assert!(compiled.num_blocks() >= 2);
@@ -504,18 +464,17 @@ mod tests {
         );
         compiled.surface.set(Box::new(broken)).expect("surface not built yet");
         let (ifm, w) = (Tensor::random(2, 8, 8, 3), layer.random_weights(4));
-        for mode in [IntegrityMode::Off, IntegrityMode::Verify, IntegrityMode::VerifyAndRecompute] {
-            let mut fast = FastMachine::new(&spec4());
-            fast.set_integrity_mode(mode);
-            let err = fast.run_layer(&compiled, &ifm, &w).unwrap_err();
-            assert!(
-                matches!(&err.cause, SimCause::Map(why) if why.contains("extracted twice")),
-                "{mode:?}: {err}"
-            );
+        for tier in BackendTier::ALL {
+            for mode in [IntegrityMode::Off, IntegrityMode::Verify, IntegrityMode::VerifyAndRecompute] {
+                let mut backend = backend_for(tier, &spec4());
+                backend.set_integrity_mode(mode);
+                let err = backend.run_layer(&compiled, &ifm, &w).unwrap_err();
+                assert!(
+                    matches!(&err.cause, SimCause::Map(why) if why.contains("extracted twice")),
+                    "{tier} {mode:?}: {err}"
+                );
+            }
         }
-        // The cycle tier materializes its own blocks and is unaffected.
-        let golden = reference::run_layer(&layer, &ifm, &w).unwrap();
-        assert_eq!(compiled.run_on(&mut Machine::new(&spec4()), &ifm, &w).unwrap().0, golden);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic hardware fault injection.
 //!
-//! A [`FaultPlan`] attached to a [`Machine`](crate::Machine) schedules
-//! transient bit flips at `(tile, cycle)` points of a block run: in the
+//! A [`FaultPlan`] installed on a backend ([`crate::backend_for`])
+//! schedules transient bit flips at `(tile, cycle)` points of a block run: in the
 //! H-MEM/V-MEM bank arrays, in the GRF broadcast words, or in a PE's
 //! accumulator (output register). A fault either corrupts the output
 //! *silently* (data bit flips — the layouts carry no redundancy, so the
@@ -18,7 +18,7 @@
 //!   each `(run, tile, cycle)` point is a pure hash of the seed, so a
 //!   whole chaos run is **bit-identical across executions with the same
 //!   seed**, while a *retry* of a failed block (a later `run` ordinal on
-//!   the same machine) sees an independent draw — exactly how transient
+//!   the same backend) sees an independent draw — exactly how transient
 //!   faults behave in time.
 //! * [`FaultPlan::gray`] — Bernoulli bit flips plus an independent seeded
 //!   draw of *temporal* faults ([`TemporalFault`]): stalls, slowdowns and
@@ -26,16 +26,18 @@
 //!   gray-failure class. The same purity holds: every draw is a hash of
 //!   `(seed, run, tile, cycle)`.
 //!
-//! Nothing here costs anything when no plan is installed: the machine's
-//! per-cycle check is a single `Option` discriminant test.
+//! The block loop both tiers share walks a block's grid through the plan
+//! once, before the block executes: it executes the temporal faults and
+//! hands the structural sites to the tier. Nothing here costs anything
+//! when no plan is installed: the walk is then the closed-form charge.
 
 use npcgra_arch::CgraSpec;
 use npcgra_nn::Word;
 
 /// A temporal (gray) fault: the tile loses time instead of corrupting
-/// data. Values stay bit-exact; *liveness* is what breaks. The machine
-/// escapes these only through its cooperative
-/// [`CancelToken`](crate::CancelToken) or cycle budget.
+/// data. Values stay bit-exact; *liveness* is what breaks. A run escapes
+/// these only through its cooperative [`CancelToken`](crate::CancelToken)
+/// or cycle budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemporalFault {
     /// The tile stalls for `cycles` extra cycles before this cycle
@@ -108,7 +110,7 @@ pub enum FaultSite {
 }
 
 /// One scheduled fault: a [`FaultSite`] applied at the start of `cycle` of
-/// `tile`, on every block run of the machine it is installed on.
+/// `tile` — in an explicit plan, of every block run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// Tile index within the block.
@@ -266,17 +268,6 @@ impl FaultPlan {
                 stall_cycles: gray.stall_cycles.max(1),
                 slowdown_factor: gray.slowdown_factor.max(2),
             },
-        }
-    }
-
-    /// Whether this plan can ever schedule a [`FaultSite::Temporal`] site
-    /// (used by runners to decide if liveness machinery must be armed).
-    #[must_use]
-    pub fn has_temporal(&self) -> bool {
-        match &self.mode {
-            Mode::Explicit(faults) => faults.iter().any(|f| matches!(f.site, FaultSite::Temporal(_))),
-            Mode::Bernoulli { .. } => false,
-            Mode::Gray { temporal_threshold, .. } => *temporal_threshold > 0,
         }
     }
 
@@ -498,7 +489,6 @@ mod tests {
     #[test]
     fn none_plan_schedules_nothing_and_has_no_temporal() {
         let plan = FaultPlan::none();
-        assert!(!plan.has_temporal());
         for cycle in 0..256 {
             assert!(plan.sites_at(0, 0, cycle, &dims()).is_empty());
         }
@@ -513,7 +503,6 @@ mod tests {
         };
         let a = FaultPlan::gray(99, 0.01, rates);
         let b = a.clone();
-        assert!(a.has_temporal());
         let (mut stalls, mut slows, mut wedges, mut flips) = (0, 0, 0, 0);
         for tile in 0..16 {
             for cycle in 0..512 {
@@ -551,25 +540,10 @@ mod tests {
             slowdown_factor: 4,
         };
         let plan = FaultPlan::gray(5, 0.5, rates);
-        assert!(!plan.has_temporal());
         for cycle in 0..512 {
             for site in plan.sites_at(0, 0, cycle, &dims()) {
                 assert!(!matches!(site, FaultSite::Temporal(_)));
             }
         }
-    }
-
-    #[test]
-    fn explicit_temporal_faults_report_has_temporal() {
-        let plan = FaultPlan::explicit(vec![Fault {
-            tile: 0,
-            cycle: 3,
-            site: FaultSite::Temporal(TemporalFault::Wedge),
-        }]);
-        assert!(plan.has_temporal());
-        assert_eq!(
-            plan.sites_at(0, 0, 3, &dims()),
-            vec![FaultSite::Temporal(TemporalFault::Wedge)]
-        );
     }
 }

@@ -29,14 +29,15 @@
 //! recompute of the block's own outputs — same asymptotic cost for
 //! depthwise, and still a per-block (not per-layer) cost for pointwise.
 //!
-//! Each identity is written once, over a [`PixelSet`] of rectangles, and
-//! both tiers call it. The cycle tier checks the entry list its machine
-//! extracted ([`verify_block`], grouping arbitrary entries by channel and
-//! pixel); the fast tier checks a block of the
+//! Each identity is written once, over a `PixelSet` of rectangles, and
+//! checked by one verifier that both tiers' block loop calls:
+//! `verify_slots` reads a block of the
 //! [`BlockSurface`](crate::BlockSurface) where its runs lie in the OFM
-//! tensor ([`verify_slots`]: the block *is* a channel range × pixel
-//! rectangle, so nothing is grouped or allocated). Same identities, same
-//! order, same [`Violation`].
+//! tensor (the block *is* a channel range × pixel rectangle, so nothing is
+//! grouped or allocated), and `heal_slots` recomputes it there. The tests
+//! hold it to an entry-list verifier that groups arbitrary `(c, y, x, v)`
+//! words by channel and pixel: same identities, same order, same
+//! [`Violation`].
 //!
 //! [`truncate`]: npcgra_nn::truncate
 
@@ -44,10 +45,6 @@ use npcgra_nn::{truncate, Acc, Activation, ConvKind, ConvLayer, Tensor, Word};
 
 use crate::fault::splitmix64;
 use crate::surface::{BlockSlots, Run};
-
-/// One extracted output word: `(channel, y, x, value)`, exactly as
-/// [`BlockResult::ofm`](crate::BlockResult) carries them.
-pub type OfmEntry = (usize, usize, usize, Word);
 
 /// How (and whether) block outputs are verified after execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,10 +114,8 @@ impl std::fmt::Display for Violation {
 
 /// A set of output pixels of one image plane, handed to the checksum
 /// identities as rectangles `(y, rows, x, len)`: `len` consecutive pixels
-/// from column `x` on each of `rows` consecutive image rows from `y`. Both
-/// callers of the identities speak it — the entry-list verifier (each
-/// listed position a 1×1 rectangle) and the block surface's
-/// [`BlockSlots`] (usually one rectangle per block).
+/// from column `x` on each of `rows` consecutive image rows from `y` —
+/// usually one rectangle per block of the surface's [`BlockSlots`].
 pub(crate) trait PixelSet {
     /// Visit the set's rectangles.
     fn for_each_rect(&self, f: impl FnMut(usize, usize, usize, usize));
@@ -128,14 +123,6 @@ pub(crate) trait PixelSet {
     /// Visit the set's row segments `(y, x, len)`, rectangle by rectangle.
     fn for_each_segment(&self, mut f: impl FnMut(usize, usize, usize)) {
         self.for_each_rect(|y, rows, x, len| (y..y + rows).for_each(|y| f(y, x, len)));
-    }
-}
-
-impl PixelSet for [(usize, usize)] {
-    fn for_each_rect(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
-        for &(y, x) in self {
-            f(y, 1, x, 1);
-        }
     }
 }
 
@@ -149,44 +136,6 @@ fn word_sum(words: &[Word]) -> Word {
     total(words.iter().copied())
 }
 
-/// Verify one block's extracted outputs against the layer's checksum
-/// identity (or, for activated layers, an exact per-element recompute).
-///
-/// `ifm` is the layer's *raw* input (zero padding is applied here, exactly
-/// as the golden reference does); `entries` are the block's OFM words as
-/// the machine extracted them. The check costs O(`entries`) host work
-/// (times the constant kernel size for depthwise).
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found. The identities are exact mod
-/// 2¹⁶, so a violation is always real corruption; a passing check bounds
-/// undetected corruption to errors that cancel in every checksum.
-pub fn verify_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    if layer.activation() != Activation::None {
-        return verify_elements(layer, ifm, weights, entries);
-    }
-    match layer.kind() {
-        ConvKind::Depthwise => verify_depthwise(layer, ifm, weights, entries),
-        ConvKind::Pointwise => verify_pointwise(layer, ifm, weights, entries),
-        // Standard convolution never reaches the block path directly (it is
-        // lowered through im2col), but stay total for robustness.
-        ConvKind::Standard => verify_elements(layer, ifm, weights, entries),
-    }
-}
-
-/// Recompute every entry of a failed block on the host (golden arithmetic)
-/// and patch the extracted words in place — the recovery half of
-/// [`IntegrityMode::VerifyAndRecompute`].
-pub fn heal_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &mut [OfmEntry]) {
-    for e in entries.iter_mut() {
-        e.3 = golden_element(layer, ifm, weights, e.0, e.1, e.2);
-    }
-}
-
 /// Reusable working memory of [`verify_slots`]: the pointwise identities'
 /// per-input-channel sums and per-pixel checksums. Owned by the backend, so
 /// verifying a block allocates nothing once the widest layer has been seen.
@@ -195,15 +144,20 @@ pub(crate) struct AbftScratch {
     words: Vec<Word>,
 }
 
-/// [`verify_block`] for a block of the [`BlockSurface`](crate::BlockSurface):
-/// the same identities, in the same order, returning the same
-/// [`Violation`] — but read straight from the OFM tensor the block's
-/// `slots` index, with no entry list and no per-block allocation.
+/// Verify one block of the [`BlockSurface`](crate::BlockSurface) against
+/// the layer's checksum identity (or, for activated layers, an exact
+/// per-element recompute), reading its words straight from the OFM tensor
+/// its `slots` index, with no entry list and no per-block allocation.
+///
+/// `ifm` is the layer's *raw* input (zero padding is applied here, exactly
+/// as the golden reference does). The check costs O(block words) host work
+/// (times the constant kernel size for depthwise).
 ///
 /// # Errors
 ///
-/// Returns the first [`Violation`] found, exactly as [`verify_block`] would
-/// for the block's entry list.
+/// Returns the first [`Violation`] found. The identities are exact mod
+/// 2¹⁶, so a violation is always real corruption; a passing check bounds
+/// undetected corruption to errors that cancel in every checksum.
 pub(crate) fn verify_slots(
     layer: &ConvLayer,
     ifm: &Tensor,
@@ -286,8 +240,9 @@ pub(crate) fn verify_slots(
     }
 }
 
-/// [`heal_block`] for a block of the surface: recompute each of its words
-/// in place in the OFM tensor.
+/// Recompute each word of a failed block of the surface in place in the
+/// OFM tensor (golden arithmetic) — the recovery half of
+/// [`IntegrityMode::VerifyAndRecompute`].
 pub(crate) fn heal_slots(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, ofm: &mut Tensor, slots: &BlockSlots) {
     for flat in slots.runs().flat_map(Run::indices) {
         let (c, y, x) = slots.coords(flat);
@@ -423,86 +378,6 @@ fn column_expected(ifm: &Tensor, cols: &[Word], y: usize, x: usize, expected: &m
     }
 }
 
-/// Depthwise: per-channel output sums against [`depthwise_expected`].
-fn verify_depthwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    let mut by_channel: std::collections::BTreeMap<usize, (Vec<(usize, usize)>, Word)> = std::collections::BTreeMap::new();
-    for &(c, y, x, v) in entries {
-        let slot = by_channel.entry(c).or_default();
-        slot.0.push((y, x));
-        slot.1 = slot.1.wrapping_add(v);
-    }
-    for (c, (positions, actual)) in by_channel {
-        let expected = depthwise_expected(layer, ifm, weights, c, positions.as_slice());
-        check(CheckKind::ChannelSum, c, expected, actual)?;
-    }
-    Ok(())
-}
-
-/// Pointwise: Huang–Abraham row checksums (per output channel, localizing
-/// to a channel) and column checksums (per pixel, localizing to a pixel).
-///
-/// Input-side sums are memoized per distinct pixel/channel *set*, so a
-/// rectangular block pays each input word once, not once per output row.
-fn verify_pointwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    use std::collections::BTreeMap;
-    let n_i = layer.in_channels();
-
-    // Row checksums: per output channel over its pixel set.
-    let mut by_out: BTreeMap<usize, (Vec<(usize, usize)>, Word)> = BTreeMap::new();
-    for &(o, y, x, v) in entries {
-        let slot = by_out.entry(o).or_default();
-        slot.0.push((y, x));
-        slot.1 = slot.1.wrapping_add(v);
-    }
-    // Per-input-channel pixel sums, memoized by pixel set (blocks are
-    // rectangular, so usually one distinct set).
-    let mut memo: BTreeMap<Vec<(usize, usize)>, Vec<Word>> = BTreeMap::new();
-    for (o, (mut pixels, actual)) in by_out {
-        pixels.sort_unstable();
-        let sums = memo.entry(pixels).or_insert_with_key(|pixels| {
-            let mut sums = vec![0; n_i];
-            pixel_sums(ifm, pixels.as_slice(), &mut sums);
-            sums
-        });
-        check(CheckKind::RowChecksum, o, row_expected(weights, o, sums), actual)?;
-    }
-
-    // Column checksums: per pixel over its output-channel set.
-    let mut by_pixel: BTreeMap<(usize, usize), (Vec<usize>, Word)> = BTreeMap::new();
-    for &(o, y, x, v) in entries {
-        let slot = by_pixel.entry((y, x)).or_default();
-        slot.0.push(o);
-        slot.1 = slot.1.wrapping_add(v);
-    }
-    // Weight column sums, memoized by output-channel set.
-    let mut memo: BTreeMap<Vec<usize>, Vec<Word>> = BTreeMap::new();
-    for ((y, x), (mut outs, actual)) in by_pixel {
-        outs.sort_unstable();
-        let cols = memo.entry(outs).or_insert_with_key(|outs| {
-            let mut cols = vec![0; n_i];
-            for &o in outs {
-                add_weight_row(weights, o, &mut cols);
-            }
-            cols
-        });
-        let mut expected = [0];
-        column_expected(ifm, cols, y, x, &mut expected);
-        check(CheckKind::ColumnChecksum, y * layer.out_w() + x, expected[0], actual)?;
-    }
-    Ok(())
-}
-
-/// Exact per-element golden recompute of the block's own outputs — the
-/// fallback for activated (non-linear) layers, where the checksum
-/// identities do not hold.
-fn verify_elements(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    for &(c, y, x, v) in entries {
-        let lane = (c * layer.out_h() + y) * layer.out_w() + x;
-        check(CheckKind::Element, lane, golden_element(layer, ifm, weights, c, y, x), v)?;
-    }
-    Ok(())
-}
-
 /// One output element via the golden reference arithmetic (wrapping 32-bit
 /// accumulation, activation at accumulator level, 16-bit truncation) —
 /// bit-identical to [`npcgra_nn::reference::run_layer`].
@@ -576,6 +451,138 @@ mod tests {
     use crate::layer::MappingKind;
     use npcgra_arch::CgraSpec;
     use npcgra_nn::reference;
+
+    // ---- the entry-list verifier: the reference `verify_slots` is held to ----
+
+    /// One extracted output word: `(channel, y, x, value)`, exactly as
+    /// [`BlockResult::ofm`](crate::BlockResult) carries them.
+    type OfmEntry = (usize, usize, usize, Word);
+
+    impl PixelSet for [(usize, usize)] {
+        fn for_each_rect(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
+            for &(y, x) in self {
+                f(y, 1, x, 1);
+            }
+        }
+    }
+
+    /// Verify one block's extracted outputs against the layer's checksum
+    /// identity (or, for activated layers, an exact per-element recompute).
+    ///
+    /// `ifm` is the layer's *raw* input (zero padding is applied here, exactly
+    /// as the golden reference does); `entries` are the block's OFM words as
+    /// the machine extracted them. The check costs O(`entries`) host work
+    /// (times the constant kernel size for depthwise).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Violation`] found. The identities are exact mod
+    /// 2¹⁶, so a violation is always real corruption; a passing check bounds
+    /// undetected corruption to errors that cancel in every checksum.
+    fn verify_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        if layer.activation() != Activation::None {
+            return verify_elements(layer, ifm, weights, entries);
+        }
+        match layer.kind() {
+            ConvKind::Depthwise => verify_depthwise(layer, ifm, weights, entries),
+            ConvKind::Pointwise => verify_pointwise(layer, ifm, weights, entries),
+            // Standard convolution never reaches the block path directly (it is
+            // lowered through im2col), but stay total for robustness.
+            ConvKind::Standard => verify_elements(layer, ifm, weights, entries),
+        }
+    }
+
+    /// Recompute every entry of a failed block on the host (golden arithmetic)
+    /// and patch the extracted words in place — the recovery half of
+    /// [`IntegrityMode::VerifyAndRecompute`].
+    fn heal_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &mut [OfmEntry]) {
+        for e in entries.iter_mut() {
+            e.3 = golden_element(layer, ifm, weights, e.0, e.1, e.2);
+        }
+    }
+
+    /// Depthwise: per-channel output sums against [`depthwise_expected`].
+    fn verify_depthwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
+        let mut by_channel: std::collections::BTreeMap<usize, (Vec<(usize, usize)>, Word)> = std::collections::BTreeMap::new();
+        for &(c, y, x, v) in entries {
+            let slot = by_channel.entry(c).or_default();
+            slot.0.push((y, x));
+            slot.1 = slot.1.wrapping_add(v);
+        }
+        for (c, (positions, actual)) in by_channel {
+            let expected = depthwise_expected(layer, ifm, weights, c, positions.as_slice());
+            check(CheckKind::ChannelSum, c, expected, actual)?;
+        }
+        Ok(())
+    }
+
+    /// Pointwise: Huang–Abraham row checksums (per output channel, localizing
+    /// to a channel) and column checksums (per pixel, localizing to a pixel).
+    ///
+    /// Input-side sums are memoized per distinct pixel/channel *set*, so a
+    /// rectangular block pays each input word once, not once per output row.
+    fn verify_pointwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
+        use std::collections::BTreeMap;
+        let n_i = layer.in_channels();
+
+        // Row checksums: per output channel over its pixel set.
+        let mut by_out: BTreeMap<usize, (Vec<(usize, usize)>, Word)> = BTreeMap::new();
+        for &(o, y, x, v) in entries {
+            let slot = by_out.entry(o).or_default();
+            slot.0.push((y, x));
+            slot.1 = slot.1.wrapping_add(v);
+        }
+        // Per-input-channel pixel sums, memoized by pixel set (blocks are
+        // rectangular, so usually one distinct set).
+        let mut memo: BTreeMap<Vec<(usize, usize)>, Vec<Word>> = BTreeMap::new();
+        for (o, (mut pixels, actual)) in by_out {
+            pixels.sort_unstable();
+            let sums = memo.entry(pixels).or_insert_with_key(|pixels| {
+                let mut sums = vec![0; n_i];
+                pixel_sums(ifm, pixels.as_slice(), &mut sums);
+                sums
+            });
+            check(CheckKind::RowChecksum, o, row_expected(weights, o, sums), actual)?;
+        }
+
+        // Column checksums: per pixel over its output-channel set.
+        let mut by_pixel: BTreeMap<(usize, usize), (Vec<usize>, Word)> = BTreeMap::new();
+        for &(o, y, x, v) in entries {
+            let slot = by_pixel.entry((y, x)).or_default();
+            slot.0.push(o);
+            slot.1 = slot.1.wrapping_add(v);
+        }
+        // Weight column sums, memoized by output-channel set.
+        let mut memo: BTreeMap<Vec<usize>, Vec<Word>> = BTreeMap::new();
+        for ((y, x), (mut outs, actual)) in by_pixel {
+            outs.sort_unstable();
+            let cols = memo.entry(outs).or_insert_with_key(|outs| {
+                let mut cols = vec![0; n_i];
+                for &o in outs {
+                    add_weight_row(weights, o, &mut cols);
+                }
+                cols
+            });
+            let mut expected = [0];
+            column_expected(ifm, cols, y, x, &mut expected);
+            check(CheckKind::ColumnChecksum, y * layer.out_w() + x, expected[0], actual)?;
+        }
+        Ok(())
+    }
+
+    /// Exact per-element golden recompute of the block's own outputs — the
+    /// fallback for activated (non-linear) layers, where the checksum
+    /// identities do not hold.
+    fn verify_elements(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
+        for &(c, y, x, v) in entries {
+            let lane = (c * layer.out_h() + y) * layer.out_w() + x;
+            check(CheckKind::Element, lane, golden_element(layer, ifm, weights, c, y, x), v)?;
+        }
+        Ok(())
+    }
 
     /// Turn a golden OFM tensor into the entry list a block would extract.
     fn entries_of(ofm: &Tensor) -> Vec<OfmEntry> {

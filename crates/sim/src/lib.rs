@@ -36,7 +36,7 @@ pub mod trace;
 pub use cancel::CancelToken;
 pub use compiled::{CompiledLayer, PreparedIfm, ResolvedMapping};
 pub use error::{SimCause, SimError};
-pub use exec::{backend_for, functional_ofm, BackendTier, ExecutionBackend, FastMachine};
+pub use exec::{backend_for, functional_ofm, BackendTier, ExecutionBackend};
 pub use fault::{Fault, FaultDims, FaultPlan, FaultSite, GrayRates, TemporalFault};
 pub use integrity::{tensor_checksum, CheckKind, IntegrityMode, Violation};
 pub use layer::{

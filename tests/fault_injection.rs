@@ -4,9 +4,10 @@
 //! This is what gives the green test suite its teeth.
 //!
 //! Two layers of injection live here: hand-corrupted programs (the seed
-//! tests below), and the machine's own [`FaultPlan`] — scheduled transient
-//! bit flips — driven both directly and through the serving stack's chaos
-//! knobs (worker panics, poison requests, degraded mode).
+//! tests below), and scheduled transient bit flips — handed straight to the
+//! machine, or drawn from a [`FaultPlan`] on a cycle-accurate backend and
+//! through the serving stack's chaos knobs (worker panics, poison requests,
+//! degraded mode).
 
 use std::time::Duration;
 
@@ -15,7 +16,7 @@ use npcgra::kernels::dwc_s1::DwcS1LayerMap;
 use npcgra::kernels::pwc::PwcLayerMap;
 use npcgra::nn::Word;
 use npcgra::serve::{ChaosConfig, ServeConfig, ServeError, Server, WorkerExit};
-use npcgra::sim::{Fault, FaultPlan, FaultSite, IntegrityMode};
+use npcgra::sim::{backend_for, BackendTier, ExecutionBackend, Fault, FaultPlan, FaultSite, IntegrityMode};
 use npcgra::{reference, CgraSpec, CompiledLayer, ConvLayer, Machine, MappingKind, Tensor};
 
 #[test]
@@ -114,7 +115,7 @@ fn explicit_h_bank_flip_silently_corrupts_the_output() {
 
     let prog = map.materialize(0, &ifm, &w);
     let mut machine = Machine::new(&spec);
-    machine.set_fault_plan(Some(FaultPlan::explicit(vec![Fault {
+    let flip = Fault {
         tile: 0,
         cycle: 0,
         site: FaultSite::HBankBit {
@@ -122,8 +123,8 @@ fn explicit_h_bank_flip_silently_corrupts_the_output() {
             offset: 3,
             bit: 0,
         },
-    }])));
-    let res = machine.run_block(&prog).unwrap();
+    };
+    let res = machine.run_block_with_faults(&prog, &[flip]).unwrap();
     assert_eq!(machine.faults_injected(), 1);
     let mismatches = res.ofm.iter().filter(|&&(c, y, x, v)| v != golden.get(c, y, x)).count();
     assert!(mismatches > 0, "a flipped IFM bit must surface in the output");
@@ -139,13 +140,12 @@ fn explicit_grf_trim_trips_the_detected_error_path() {
     let padded = padded_ifm(&layer, &Tensor::random(1, 8, 8, 5));
     let w = layer.random_weights(6);
     let prog = map.materialize(0, &padded, &w);
-    let mut machine = Machine::new(&spec);
-    machine.set_fault_plan(Some(FaultPlan::explicit(vec![Fault {
+    let trim = Fault {
         tile: 0,
         cycle: 0,
         site: FaultSite::GrfTrim { keep: 0 },
-    }])));
-    let err = machine.run_block(&prog).unwrap_err();
+    };
+    let err = Machine::new(&spec).run_block_with_faults(&prog, &[trim]).unwrap_err();
     assert!(err.to_string().contains("GRF index"), "{err}");
 }
 
@@ -157,13 +157,13 @@ fn injected_fault_plan_is_deterministic_per_seed() {
     let ifm = Tensor::random(8, 8, 8, 1);
     let w = layer.random_weights(2);
     let run = |seed: u64, rate: f64| {
-        let mut machine = Machine::new(&spec);
-        machine.set_fault_plan(Some(FaultPlan::bernoulli(seed, rate)));
-        let result = compiled
-            .run_on(&mut machine, &ifm, &w)
+        let mut backend = backend_for(BackendTier::CycleAccurate, &spec);
+        backend.set_fault_plan(Some(FaultPlan::bernoulli(seed, rate)));
+        let result = backend
+            .run_layer(&compiled, &ifm, &w)
             .map(|(ofm, _)| ofm)
             .map_err(|e| e.to_string());
-        (result, machine.faults_injected())
+        (result, backend.faults_injected())
     };
     let (a, injected_a) = run(0xDEAD, 0.02);
     let (b, injected_b) = run(0xDEAD, 0.02);
@@ -178,16 +178,16 @@ fn injected_fault_plan_is_deterministic_per_seed() {
 
 // ---- ABFT output-integrity checks ------------------------------------------
 
-/// The `explicit_h_bank_flip_silently_corrupts_the_output` setup, but with
-/// a machine whose integrity mode is configurable.
-fn pwc_with_flip(mode: IntegrityMode) -> (CompiledLayer, Machine, Tensor, Tensor, Tensor) {
+/// The `explicit_h_bank_flip_silently_corrupts_the_output` setup, but on a
+/// cycle-accurate backend whose integrity mode is configurable.
+fn pwc_with_flip(mode: IntegrityMode) -> (CompiledLayer, Box<dyn ExecutionBackend>, Tensor, Tensor, Tensor) {
     let spec = CgraSpec::np_cgra(4, 4);
     let layer = ConvLayer::pointwise("pw", 8, 8, 4, 4);
     let compiled = CompiledLayer::compile(&layer, &spec, MappingKind::Auto).unwrap();
     let ifm = Tensor::random(8, 4, 4, 1);
     let w = layer.random_weights(2);
     let golden = reference::run_layer(&layer, &ifm, &w).unwrap();
-    let mut machine = Machine::new(&spec);
+    let mut machine = backend_for(BackendTier::CycleAccurate, &spec);
     machine.set_fault_plan(Some(FaultPlan::explicit(vec![Fault {
         tile: 0,
         cycle: 0,
@@ -206,7 +206,7 @@ fn pwc_checksum_detects_the_injected_silent_flip() {
     // The exact flip that `explicit_h_bank_flip_silently_corrupts_the_output`
     // proves is silent becomes a typed error once verification is on.
     let (compiled, mut machine, ifm, w, _) = pwc_with_flip(IntegrityMode::Verify);
-    let err = compiled.run_on(&mut machine, &ifm, &w).unwrap_err();
+    let err = machine.run_layer(&compiled, &ifm, &w).unwrap_err();
     assert!(err.to_string().contains("integrity"), "{err}");
     assert_eq!(machine.faults_injected(), 1);
 }
@@ -214,7 +214,7 @@ fn pwc_checksum_detects_the_injected_silent_flip() {
 #[test]
 fn verify_and_recompute_heals_the_flip_to_golden() {
     let (compiled, mut machine, ifm, w, golden) = pwc_with_flip(IntegrityMode::VerifyAndRecompute);
-    let (ofm, report) = compiled.run_on(&mut machine, &ifm, &w).unwrap();
+    let (ofm, report) = machine.run_layer(&compiled, &ifm, &w).unwrap();
     assert_eq!(ofm, golden, "recompute mode must hand back the golden output");
     assert!(report.integrity_failed >= 1, "the flip must trip a checksum");
     assert!(report.integrity_recovered >= 1, "the tripped block must be healed");
@@ -230,14 +230,14 @@ fn dwc_channel_sum_detects_a_grf_kernel_bit_flip() {
     let compiled = CompiledLayer::compile(&layer, &spec, MappingKind::Auto).unwrap();
     let ifm = Tensor::random(2, 8, 8, 3);
     let w = layer.random_weights(4);
-    let mut machine = Machine::new(&spec);
+    let mut machine = backend_for(BackendTier::CycleAccurate, &spec);
     machine.set_fault_plan(Some(FaultPlan::explicit(vec![Fault {
         tile: 0,
         cycle: 0,
         site: FaultSite::GrfBit { index: 4, bit: 3 },
     }])));
     machine.set_integrity_mode(IntegrityMode::Verify);
-    let err = compiled.run_on(&mut machine, &ifm, &w).unwrap_err();
+    let err = machine.run_layer(&compiled, &ifm, &w).unwrap_err();
     assert!(err.to_string().contains("integrity"), "{err}");
 }
 
