@@ -25,9 +25,9 @@ pub const HANG_CAP: Duration = Duration::from_secs(30);
 const CALIBRATION: Duration = Duration::from_secs(1);
 /// Back-off of a closed-loop client whose submit was refused.
 const REFUSED_BACKOFF: Duration = Duration::from_micros(200);
-/// Batching of every single-layer `Server` the soaks start.
+/// Batch cap of every single-layer `Server` the soaks start; dispatch is
+/// the shipping default (work-conserving, no linger).
 const MAX_BATCH: usize = 4;
-const MAX_LINGER: Duration = Duration::from_micros(500);
 /// CoDel sojourn target of every overload-controlled target.
 pub const DELAY_TARGET: Duration = Duration::from_millis(2);
 /// The workload: MobileNet at width 0.25 and 32x32 input, small enough
@@ -79,7 +79,6 @@ impl Common {
         ServeConfig::for_spec(&self.spec)
             .with_workers(self.workers)
             .with_max_batch(MAX_BATCH)
-            .with_max_linger(MAX_LINGER)
             .with_backend_tier(self.tier)
     }
 

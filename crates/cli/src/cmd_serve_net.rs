@@ -49,10 +49,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         flags.parse_or("res", 32)?,
     )?;
 
-    let config = ServeConfig::for_spec(&spec)
+    let defaults = ServeConfig::for_spec(&spec);
+    let linger = flags.parsed("linger-us")?.map_or(defaults.max_linger, Duration::from_micros);
+    let config = defaults
         .with_workers(flags.parse_or("workers", 4)?)
         .with_max_batch(flags.parse_or("max-batch", 4)?)
-        .with_max_linger(Duration::from_micros(flags.parse_or("linger-us", 500)?))
+        .with_max_linger(linger)
         .with_backend_tier(tier);
     let server = Arc::new(Server::start(config));
     let endpoints = Endpoints::register(&server, &tables)?;

@@ -126,5 +126,6 @@ flags:
   --max-batch N, --linger-us N, --tenants LIST, --max-conns N,
   --read-timeout-ms N, --write-timeout-ms N, --idle-timeout-ms N,
   --backlog-limit N, --seconds S
-                      serve-net
+                      serve-net (--linger-us defaults to 0: a free
+                      worker takes queued work at once)
 ";

@@ -110,9 +110,9 @@ impl Default for OverloadConfig {
 /// `cycle_budget`, the restart ladder, `chaos`) exist once.
 ///
 /// The defaults describe a small deployment: four worker shards of the
-/// paper's Table 4 NP-CGRA, batches of up to four same-model requests
-/// coalesced within a two-millisecond linger window, and a bounded queue
-/// of 256 requests.
+/// paper's Table 4 NP-CGRA, work-conserving dispatch that coalesces up to
+/// four same-model requests from whatever backlog is queued when a worker
+/// frees up, and a bounded queue of 256 requests.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Machine spec each worker shard simulates.
@@ -129,7 +129,11 @@ pub struct ServeConfig {
     /// Maximum same-model requests coalesced into one batched simulator run.
     pub max_batch: usize,
     /// How long a request may linger at the head of its queue waiting for
-    /// batch-mates before a worker runs a partial batch.
+    /// batch-mates before a worker runs a partial batch. `ZERO` (the
+    /// default) is work-conserving: a free worker takes the oldest queued
+    /// request at once, with whatever same-model backlog has built up
+    /// behind it. A positive value is an opt-in wait that trades latency
+    /// for fuller batches.
     pub max_linger: Duration,
     /// Per-request execution-attempt cap: a request that has failed this
     /// many re-executions (batch bisections included) is quarantined.
@@ -208,7 +212,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 256,
             max_batch: 4,
-            max_linger: Duration::from_millis(2),
+            max_linger: Duration::ZERO,
             max_retries: 4,
             restart_budget: 3,
             restart_backoff: Duration::from_millis(1),
@@ -258,7 +262,7 @@ impl ServeConfig {
         self
     }
 
-    /// Set the batching linger window.
+    /// Set the batching linger window (`ZERO` = work-conserving dispatch).
     #[must_use]
     pub fn with_max_linger(mut self, linger: Duration) -> Self {
         self.max_linger = linger;

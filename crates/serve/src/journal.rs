@@ -45,8 +45,11 @@
 //!
 //! Durability is batched: appends buffer in memory and reach the disk (one
 //! `write` + `fsync`) every [`fsync_every`](JournalConfig::fsync_every)
-//! records or [`fsync_interval`](JournalConfig::fsync_interval), whichever
-//! comes first. The window between an outcome and its fsync is the
+//! records, or at the first append that finds the last sync
+//! [`fsync_interval`](JournalConfig::fsync_interval) old. No timer runs:
+//! after a burst, a quiet tail stays unsynced until the next append, an
+//! explicit [`Server::flush_journal`](crate::Server::flush_journal), a
+//! drain or shutdown. The window between an outcome and its fsync is the
 //! *ack-durability window*: a crash inside it re-executes already-acked
 //! work on recovery. That re-execution is invisible to clients (the dedup
 //! table and in-flight reservations collapse duplicates per idempotency
@@ -103,8 +106,10 @@ pub struct JournalConfig {
     /// Records buffered before a batched `write` + `fsync` (`0` is treated
     /// as `1`: every record synced immediately).
     pub fsync_every: usize,
-    /// Wall-clock bound on how long an appended record may sit unsynced
-    /// even when the batch is not full.
+    /// Age of the last sync past which the next append flushes a batch
+    /// that is not full. Checked only on append: no timer runs, so a quiet
+    /// tail stays unsynced until the next append, an explicit flush, a
+    /// drain or shutdown.
     pub fsync_interval: Duration,
     /// Bound on remembered completed requests (the redelivery window):
     /// past it the oldest idempotency key is evicted FIFO, and a retry of
@@ -132,7 +137,7 @@ impl JournalConfig {
         self
     }
 
-    /// Set the wall-clock bound on unsynced records.
+    /// Set the sync age past which the next append flushes.
     #[must_use]
     pub fn with_fsync_interval(mut self, interval: Duration) -> Self {
         self.fsync_interval = interval;
@@ -441,7 +446,8 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<ReplayOutcome, JournalError> {
 ///
 /// Appends accumulate in memory; [`flush`](JournalWriter::flush) moves them
 /// to the file with a single `write` + `fsync` and happens automatically
-/// every `fsync_every` records or `fsync_interval`, whichever comes first.
+/// on the append that fills `fsync_every` records or finds the last sync
+/// `fsync_interval` old.
 /// The file therefore always ends on a record boundary at `synced_len` —
 /// a torn tail only exists after [`sever`](JournalWriter::sever), the
 /// in-process stand-in for a hard process kill.
@@ -1013,6 +1019,23 @@ mod tests {
         assert_eq!(w.fsyncs, 2, "batch of 4: eight appends cost two syncs");
         w.flush().unwrap();
         assert_eq!(w.fsyncs, 2, "flush with an empty buffer does not sync again");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fsync_interval_is_checked_only_on_append() {
+        let path = temp_path("interval");
+        let _ = fs::remove_file(&path);
+        let interval = Duration::from_millis(200);
+        let cfg = JournalConfig::new(&path).with_fsync_every(8).with_fsync_interval(interval);
+        let mut w = recover(&cfg).unwrap().writer;
+        w.flush().unwrap(); // restart the interval clock; nothing to sync
+        w.append(&admit(1, 10)).unwrap();
+        std::thread::sleep(interval + Duration::from_millis(50));
+        assert_eq!(w.fsyncs, 0, "no timer: a quiet tail stays unsynced past the interval");
+        w.append(&admit(2, 20)).unwrap();
+        assert_eq!(w.fsyncs, 1, "the next append finds the interval elapsed and syncs both");
+        assert_eq!(w.pending, 0);
         let _ = fs::remove_file(&path);
     }
 

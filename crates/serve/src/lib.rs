@@ -8,11 +8,14 @@
 //!   [`Machine`](npcgra_sim::Machine) and drains a shared work queue, so
 //!   throughput scales with host cores exactly as a rack of NP-CGRA boards
 //!   would scale with devices.
-//! * **Dynamic batching** — same-model requests arriving within a linger
-//!   window coalesce into one simulator run: depthwise requests concatenate
-//!   along the channel axis (the §5.4 channel-batched DWC mapping's natural
-//!   shape), pointwise requests along the row axis. Batching is bit-exact
-//!   by construction — see [`crate::batch`]'s module docs for the argument.
+//! * **Dynamic batching** — dispatch is work-conserving: a free worker
+//!   takes the oldest queued request at once, and the same-model backlog
+//!   that queued while every worker was busy (up to `max_batch`; an
+//!   opt-in `max_linger` waits for more) coalesces with it into one
+//!   simulator run. Depthwise requests concatenate along the channel axis
+//!   (the §5.4 channel-batched DWC mapping's natural shape), pointwise
+//!   requests along the row axis. Batching is bit-exact by construction —
+//!   see [`crate::batch`]'s module docs for the argument.
 //! * **Compiled-program cache** — mapping a layer (tiling + AGU schedule)
 //!   is pure and data-independent, so it happens once per distinct
 //!   (layer geometry, machine spec, mapping) configuration and is shared

@@ -1,10 +1,12 @@
 //! The worker-shard server: admission, queueing, batching, execution.
 //!
 //! Each worker thread owns one simulated [`Machine`](npcgra_sim::Machine)
-//! (a "shard") and drains a shared, bounded, per-model work queue. A worker
-//! forms a batch when a model's queue reaches `max_batch`, when its oldest
-//! request has lingered `max_linger`, or when the server is draining for
-//! shutdown — whichever comes first — then coalesces the requests with
+//! (a "shard") and drains a shared, bounded, per-model work queue.
+//! Dispatch is work-conserving: a worker that asks for work takes the
+//! oldest queued request at once, with up to `max_batch` of its model's
+//! backlog behind it, so batches form only from what queued while every
+//! worker was busy. (An opt-in `max_linger` holds a partial batch until its
+//! head has waited that long.) The worker coalesces the requests with
 //! [`crate::batch`], fetches the compiled program from the shared
 //! [`ProgramCache`], and runs the batch on its own machine. Requests whose
 //! deadline passed while queued are shed at batch formation, before any
@@ -1166,9 +1168,11 @@ fn apply_level_change(stats: &Stats, change: LevelChange) {
 /// The class is picked by the weighted-fair scheduler among *ready*
 /// classes (a class is ready when some model queue holds a brownout-capped
 /// batch, its head has lingered `max_linger`, or the server is draining),
-/// the model within the class by oldest head. Under brownout's
-/// adaptive-LIFO rungs the newest requests are served first and the
-/// expired stale tail is shed at formation.
+/// the model within the class by oldest head. Under the default zero
+/// linger every non-empty queue is ready, so the call sleeps only while
+/// every queue is empty. Under brownout's adaptive-LIFO rungs the newest
+/// requests are served first and the expired stale tail is shed at
+/// formation.
 ///
 /// The flag beside the batch says whether the call slept before it found
 /// one: the shard was idle, not working through a backlog.
@@ -1235,7 +1239,7 @@ pub(crate) fn next_work(shared: &Shared) -> Option<(ModelId, Vec<Pending>, bool)
             return Some((ModelId(m), items, slept));
         }
         // Nothing ready. Exit when drained for shutdown; otherwise wait for
-        // the earliest linger expiry.
+        // the earliest linger expiry, or for a submit when nothing is queued.
         let oldest = q.oldest_enqueued();
         if !q.open && oldest.is_none() {
             return None;
@@ -1428,5 +1432,46 @@ mod tests {
         assert!(matches!(err, ServeError::ReplyTimeout { .. }));
         let _ = server.shutdown();
         assert_eq!(ticket.wait().unwrap_err(), ServeError::ShuttingDown);
+    }
+
+    /// A worker-less server holding `n` queued requests for one model, so
+    /// a test can call [`next_work`] on its `Shared` as a worker would.
+    fn queued(config: ServeConfig, n: u64) -> (Server, Vec<Ticket>) {
+        let server = Server::start(config.with_workers(0));
+        let layer = ConvLayer::pointwise("pw", 4, 4, 4, 4);
+        let id = server.register("m", layer.clone(), layer.random_weights(1)).unwrap();
+        let tickets = (0..n)
+            .map(|i| server.submit(id, Tensor::random(4, 4, 4, i)).unwrap())
+            .collect();
+        (server, tickets)
+    }
+
+    #[test]
+    fn default_dispatch_takes_a_lone_request_without_sleeping() {
+        let (server, _tickets) = queued(ServeConfig::for_spec(&CgraSpec::np_cgra(4, 4)), 1);
+        let (_, items, slept) = next_work(&server.shared).expect("one request is queued");
+        assert_eq!(items.len(), 1);
+        assert!(!slept, "a queued request is ready at once: dispatch is work-conserving");
+        let _ = server.shutdown();
+    }
+
+    #[test]
+    fn default_dispatch_batches_the_queued_backlog() {
+        let (server, _tickets) = queued(ServeConfig::for_spec(&CgraSpec::np_cgra(4, 4)), 3);
+        let (_, items, slept) = next_work(&server.shared).expect("three requests are queued");
+        assert_eq!(items.len(), 3, "the backlog below max_batch leaves as one batch");
+        assert!(!slept);
+        let _ = server.shutdown();
+    }
+
+    #[test]
+    fn opt_in_linger_holds_a_lone_request() {
+        let linger = Duration::from_millis(20);
+        let config = ServeConfig::for_spec(&CgraSpec::np_cgra(4, 4)).with_max_linger(linger);
+        let (server, _tickets) = queued(config, 1);
+        let (_, items, slept) = next_work(&server.shared).expect("one request is queued");
+        assert!(items[0].enqueued.elapsed() >= linger, "a partial batch waits out the linger");
+        assert!(slept);
+        let _ = server.shutdown();
     }
 }

@@ -193,12 +193,8 @@ fn submissions_after_shutdown_are_rejected() {
 /// registered, requests are pure cache hits — no per-request mapping work.
 #[test]
 fn program_cache_eliminates_per_request_compilation() {
-    let server = Server::start(
-        ServeConfig::for_spec(&spec())
-            .with_workers(1)
-            .with_max_batch(1) // solo runs: every request consults the cache
-            .with_max_linger(Duration::ZERO),
-    );
+    // Solo runs: every request consults the cache.
+    let server = Server::start(ServeConfig::for_spec(&spec()).with_workers(1).with_max_batch(1));
     let layer = ConvLayer::depthwise("dw", 3, 12, 12, 3, 1, 1);
     let id = server
         .register("dw", layer.clone(), layer.random_weights(5))
